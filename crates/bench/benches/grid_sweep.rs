@@ -1,23 +1,21 @@
-//! Serial vs intra-sweep parallel dense-grid coverage — on both the
-//! flat-chunk and the tiled execution paths — plus an allocation audit of
-//! each hot path and a relative regression gate against the committed
-//! `BENCH_sweep.json`.
+//! Serial vs intra-sweep parallel dense-grid coverage through the sweep
+//! plan, the plan's tiers on their own, an allocation audit of the hot
+//! paths, and gates on the current run's medians.
 //!
-//! Three claims are measured:
+//! The claims measured:
 //!
 //! 1. **Zero allocation per point.** After one warm-up sweep grows the
-//!    [`GridEvaluator`]'s scratch buffer (and, on the tiled path, the
-//!    [`TileCursor`]'s candidate pin) to the local camera density, a full
-//!    grid sweep must perform no heap allocation at all (counted by a
-//!    wrapping global allocator; the audit runs before the timings and
-//!    aborts the bench on regression).
-//! 2. **Tiled vs flat.** `serial` / `parallel/N` run the engine-selected
-//!    tiled path; `serial_flat` / `parallel_flat/N` pin the legacy
-//!    flat-chunk path. The regression gate compares the tiled/flat *ratio*
-//!    against the committed baseline's ratio (machine-independent), failing
-//!    on a >25% relative regression. Set `FULLVIEW_BENCH_GATE=off` to skip.
-//! 3. **Parallel scaling.** 1/2/4 threads vs serial. On a single-core host
-//!    the parallel variants only show claiming overhead; speedups require
+//!    [`GridEvaluator`]'s scratch buffer and the `TileCursor`'s candidate
+//!    pin to the local camera density, a full grid sweep — by the mask
+//!    tier alone and by the sweep plan — must perform no heap allocation
+//!    at all (counted by a wrapping global allocator; the audit runs
+//!    before the timings and aborts the bench on regression).
+//! 2. **Plan vs exact.** `serial` / `parallel/N` run the sweep plan;
+//!    `exact_cold` pins every point to the exact analyzer on the same
+//!    configuration. The gate requires the plan to keep at least
+//!    [`MIN_MASK_SPEEDUP`]× over exact. Set `FULLVIEW_BENCH_GATE=off` to
+//!    skip all gates.
+//! 3. **Parallel scaling.** 1/2/4 threads vs serial; speedups require
 //!    real cores.
 //! 4. **Incremental resweep.** After a single-camera move, re-evaluating
 //!    only the dirty tiles ([`IncrementalSweep::resweep_dirty`]) must be at
@@ -26,20 +24,25 @@
 //!    gate runs on the current measurements alone, so it holds on any
 //!    host regardless of the committed baseline.
 //!
+//! 5. **Certificates at large sides.** On a dense omnidirectional fleet at
+//!    side 640, the forced certificate tier (`hier_cold`) and the sweep
+//!    plan (`plan_large`) must each beat the mask tier
+//!    (`mask_cold_large`) by [`MIN_HIER_SPEEDUP`]×.
+//!
 //! Set `FULLVIEW_BENCH_SWEEP_TABLE=1` to additionally print the
-//! tile-vs-flat timing table across grid sides (the EXPERIMENTS.md
-//! appendix) before the criterion runs.
+//! plan-vs-exact timing table across grid sides before the criterion
+//! runs.
 
 use criterion::{BenchmarkId, Criterion};
 use fullview_bench::bench_network;
 use fullview_core::{
-    evaluate_grid, sweep_flags_range, use_tiled, EffectiveAngle, GridCoverageReport, GridEvaluator,
-    GridTiling, IncrementalSweep,
+    collect_prover_stats, evaluate_grid, EffectiveAngle, GridCoverageReport, GridEvaluator,
+    GridTiling, IncrementalSweep, SweepPlan,
 };
 use fullview_geom::{Angle, Point, Torus, UnitGrid};
-use fullview_hier::sweep_flags_range_hier;
+use fullview_hier::evaluate_grid_hier;
 use fullview_model::{Camera, CameraNetwork, GroupId, SensorSpec};
-use fullview_sim::{evaluate_grid_parallel, evaluate_grid_parallel_flat};
+use fullview_sim::evaluate_grid_parallel;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::f64::consts::PI;
 use std::hint::black_box;
@@ -81,46 +84,54 @@ fn allocations() -> u64 {
     ALLOCATIONS.load(Ordering::Relaxed)
 }
 
-/// Verifies the zero-allocation claim on both execution paths: a warmed
-/// evaluator sweeps the whole grid without touching the heap.
+/// Verifies the zero-allocation claim on the mask tier and the sweep
+/// plan: a warmed evaluator (or plan) sweeps the whole grid without
+/// touching the heap.
 fn allocation_audit() {
     let theta = EffectiveAngle::new(PI / 4.0).expect("valid θ");
     let net = bench_network(1000, 0.05, 7);
     let grid = UnitGrid::new(Torus::unit(), 50); // 2500 points
-    let mut evaluator = GridEvaluator::new(theta, Angle::ZERO);
-
-    // Flat path: warm-up grows the direction scratch buffer.
-    let warm = evaluator.evaluate_range(&net, &grid, 0..grid.len());
-    let before = allocations();
-    let hot = evaluator.evaluate_range(&net, &grid, 0..grid.len());
-    let flat_allocated = allocations() - before;
-    assert_eq!(warm, hot, "warm-up and hot sweeps must agree");
-
-    // Tiled path: warm-up additionally grows the cursor's candidate pin.
-    assert!(use_tiled(&net, &grid), "audit must exercise the tiled path");
     let tiling = GridTiling::new(net.index(), &grid);
     let mut cursor = net.tile_cursor();
     let tiles = tiling.tile_count();
+
+    // Mask tier: warm-up grows the scratch buffers and the cursor's pin.
+    let mut evaluator = GridEvaluator::new(theta, Angle::ZERO);
     let warm_tiled = evaluator.evaluate_tiles(&mut cursor, &tiling, &grid, 0..tiles);
     let before = allocations();
     let hot_tiled = evaluator.evaluate_tiles(&mut cursor, &tiling, &grid, 0..tiles);
     let tiled_allocated = allocations() - before;
     assert_eq!(warm_tiled, hot_tiled, "warmed tiled sweeps must agree");
-    assert_eq!(warm, warm_tiled, "tiled and flat sweeps must agree");
+
+    // Sweep plan: the same warm-up, then a hot pass over every tile.
+    let mut plan = SweepPlan::new(theta, Angle::ZERO, *net.torus(), grid.len());
+    let plan_sweep = |plan: &mut SweepPlan, cursor: &mut _| {
+        let mut report = GridCoverageReport::default();
+        for t in 0..tiles {
+            report += plan.evaluate_tile(cursor, &tiling, &grid, t);
+        }
+        report
+    };
+    let warm_plan = plan_sweep(&mut plan, &mut cursor);
+    let before = allocations();
+    let hot_plan = plan_sweep(&mut plan, &mut cursor);
+    let plan_allocated = allocations() - before;
+    assert_eq!(warm_plan, hot_plan, "warmed plan sweeps must agree");
+    assert_eq!(warm_plan, warm_tiled, "plan and mask tier must agree");
 
     println!(
-        "allocation audit: flat {} / tiled {} heap allocations across {} points (warmed)",
-        flat_allocated,
+        "allocation audit: mask tier {} / plan {} heap allocations across {} points (warmed)",
         tiled_allocated,
+        plan_allocated,
         grid.len()
-    );
-    assert_eq!(
-        flat_allocated, 0,
-        "flat hot path regressed: {flat_allocated} allocations in a warmed sweep"
     );
     assert_eq!(
         tiled_allocated, 0,
         "tiled hot path regressed: {tiled_allocated} allocations in a warmed sweep"
+    );
+    assert_eq!(
+        plan_allocated, 0,
+        "plan hot path regressed: {plan_allocated} allocations in a warmed sweep"
     );
 }
 
@@ -129,36 +140,18 @@ fn bench_sweep(c: &mut Criterion) {
     let torus = Torus::unit();
     let grid = UnitGrid::new(torus, 96); // 9216 points ≈ n=10³ dense grid
     let net = bench_network(1000, 0.05, 7);
-    assert!(
-        use_tiled(&net, &grid),
-        "bench grid must take the tiled path"
-    );
     let serial_report = evaluate_grid(&net, theta, &grid, Angle::ZERO);
 
     let mut group = c.benchmark_group("grid_sweep");
     group.sample_size(10);
-    // Engine-selected (tiled) vs pinned legacy flat path.
+    // The sweep plan, single thread.
     group.bench_function("serial", |b| {
         b.iter(|| black_box(evaluate_grid(&net, theta, &grid, Angle::ZERO)));
     });
-    assert_eq!(
-        evaluate_grid_parallel_flat(&net, theta, &grid, Angle::ZERO, 1),
-        serial_report
-    );
-    group.bench_function("serial_flat", |b| {
-        b.iter(|| {
-            black_box(evaluate_grid_parallel_flat(
-                &net,
-                theta,
-                &grid,
-                Angle::ZERO,
-                1,
-            ))
-        });
-    });
     // Two-stage mask screen vs pinned exact analyzer, both cold (fresh
     // evaluator per iteration) on the tiled path: the sector-mask
-    // kernel's raison d'être, gated at MIN_MASK_SPEEDUP below.
+    // kernel's raison d'être, gated at MIN_MASK_SPEEDUP below — and the
+    // exact side is also the oracle the plan is gated against.
     {
         let tiling = GridTiling::new(net.index(), &grid);
         let tiles = tiling.tile_count();
@@ -168,6 +161,7 @@ fn bench_sweep(c: &mut Criterion) {
         let masked = mask_ev.evaluate_tiles(&mut cursor, &tiling, &grid, 0..tiles);
         let exact = exact_ev.evaluate_tiles(&mut cursor, &tiling, &grid, 0..tiles);
         assert_eq!(masked, exact, "mask-screened sweep diverged from exact");
+        assert_eq!(serial_report, exact, "sweep plan diverged from exact");
         let stats = mask_ev.screen_stats();
         println!(
             "mask screen: {}/{} points decided by stage 1 ({:.1}% screen rate)",
@@ -189,30 +183,14 @@ fn bench_sweep(c: &mut Criterion) {
         });
     }
     for &threads in &[1usize, 2, 4] {
-        // Bit-identity across backends is part of the contract benchmarked.
+        // Bit-identity across thread counts is part of the contract
+        // benchmarked.
         let par: GridCoverageReport =
             evaluate_grid_parallel(&net, theta, &grid, Angle::ZERO, threads);
-        assert_eq!(par, serial_report, "tiled threads={threads}");
-        let par_flat = evaluate_grid_parallel_flat(&net, theta, &grid, Angle::ZERO, threads);
-        assert_eq!(par_flat, serial_report, "flat threads={threads}");
+        assert_eq!(par, serial_report, "parallel threads={threads}");
         group.bench_with_input(BenchmarkId::new("parallel", threads), &threads, |b, &t| {
             b.iter(|| black_box(evaluate_grid_parallel(&net, theta, &grid, Angle::ZERO, t)));
         });
-        group.bench_with_input(
-            BenchmarkId::new("parallel_flat", threads),
-            &threads,
-            |b, &t| {
-                b.iter(|| {
-                    black_box(evaluate_grid_parallel_flat(
-                        &net,
-                        theta,
-                        &grid,
-                        Angle::ZERO,
-                        t,
-                    ))
-                });
-            },
-        );
     }
     group.finish();
 }
@@ -236,50 +214,41 @@ fn dense_omni_network(n: usize, radius: f64) -> CameraNetwork {
     CameraNetwork::new(Torus::unit(), cams)
 }
 
-/// The hierarchical prover vs the mask-screened kernel, both cold, on a
-/// large grid (`hier`'s raison d'être: interior rectangles proved
-/// without visiting their points). Bit-identity is asserted before any
-/// timing; the speedup is gated at [`MIN_HIER_SPEEDUP`] below.
+/// The forced certificate tier and the sweep plan vs the mask tier, all
+/// cold, on a large grid (interior rectangles proved without visiting
+/// their points). Bit-identity is asserted before any timing; both
+/// speedups are gated at [`MIN_HIER_SPEEDUP`] below.
 fn bench_hier(c: &mut Criterion) {
     let theta = EffectiveAngle::new(PI / 3.0).expect("valid θ");
     let net = dense_omni_network(420, 0.12);
     let side = 640usize;
     let grid = UnitGrid::new(Torus::unit(), side);
 
-    let mut mask_full = 0usize;
-    sweep_flags_range(&net, &grid, theta, Angle::ZERO, 0, grid.len(), |_, f| {
-        mask_full += usize::from(f.full_view);
-    });
-    let mut hier_full = 0usize;
-    let stats = sweep_flags_range_hier(&net, &grid, theta, Angle::ZERO, 0, grid.len(), |_, f| {
-        hier_full += usize::from(f.full_view);
-    });
-    assert_eq!(mask_full, hier_full, "hier sweep diverged from the kernel");
+    let mask = GridEvaluator::new(theta, Angle::ZERO).evaluate_grid(&net, &grid);
+    let (hier, stats) = evaluate_grid_hier(&net, theta, &grid, Angle::ZERO);
+    assert_eq!(
+        mask, hier,
+        "forced certificates diverged from the mask tier"
+    );
     assert!(
         stats.points_proved > 0,
         "prover proved nothing on the dense omni fleet: {stats}"
     );
-    println!("hier prover at side {side}: {stats}");
+    println!("forced certificates at side {side}: {stats}");
+    let (plan, stats) = collect_prover_stats(|| evaluate_grid(&net, theta, &grid, Angle::ZERO));
+    assert_eq!(mask, plan, "sweep plan diverged from the mask tier");
+    println!("sweep plan at side {side}: {stats}");
 
     let mut group = c.benchmark_group("grid_sweep");
     group.sample_size(10);
     group.bench_function("mask_cold_large", |b| {
-        b.iter(|| {
-            let mut full = 0usize;
-            sweep_flags_range(&net, &grid, theta, Angle::ZERO, 0, grid.len(), |_, f| {
-                full += usize::from(f.full_view);
-            });
-            black_box(full)
-        });
+        b.iter(|| black_box(GridEvaluator::new(theta, Angle::ZERO).evaluate_grid(&net, &grid)));
     });
     group.bench_function("hier_cold", |b| {
-        b.iter(|| {
-            let mut full = 0usize;
-            sweep_flags_range_hier(&net, &grid, theta, Angle::ZERO, 0, grid.len(), |_, f| {
-                full += usize::from(f.full_view);
-            });
-            black_box(full)
-        });
+        b.iter(|| black_box(evaluate_grid_hier(&net, theta, &grid, Angle::ZERO)));
+    });
+    group.bench_function("plan_large", |b| {
+        b.iter(|| black_box(evaluate_grid(&net, theta, &grid, Angle::ZERO)));
     });
     group.finish();
 }
@@ -293,9 +262,10 @@ const MIN_INCREMENTAL_SPEEDUP: f64 = 5.0;
 /// Compared on the *current* run's medians, so it is host-independent.
 const MIN_MASK_SPEEDUP: f64 = 5.0;
 
-/// Floor on the mask-kernel / hierarchical-prover median ratio on the
-/// large-grid dense-omni sweep; the whole point of the quadtree prover.
-/// Compared on the *current* run's medians, so it is host-independent.
+/// Floor on the mask-tier / certificate-tier (and mask-tier / sweep-plan)
+/// median ratio on the large-grid dense-omni sweep; the whole point of
+/// the quadtree prover. Compared on the *current* run's medians, so it
+/// is host-independent.
 const MIN_HIER_SPEEDUP: f64 = 3.0;
 
 /// Cold full-grid sweeps vs dirty-tile resweeps after one camera move.
@@ -352,89 +322,43 @@ fn bench_incremental(c: &mut Criterion) {
     group.finish();
 }
 
-/// Extracts `(id, median_ns)` pairs from the committed baseline without a
-/// JSON dependency: the vendored harness writes one object per line with
-/// fixed key order.
-fn parse_baseline(text: &str) -> Vec<(String, f64)> {
-    let mut out = Vec::new();
-    for line in text.lines() {
-        let Some(id_start) = line.find("\"id\": \"") else {
-            continue;
-        };
-        let rest = &line[id_start + 7..];
-        let Some(id_end) = rest.find('"') else {
-            continue;
-        };
-        let id = rest[..id_end].to_string();
-        let Some(med_start) = line.find("\"median_ns\": ") else {
-            continue;
-        };
-        let med_rest = &line[med_start + 13..];
-        let med_end = med_rest.find(',').unwrap_or(med_rest.len());
-        if let Ok(median) = med_rest[..med_end].trim().parse::<f64>() {
-            out.push((id, median));
-        }
-    }
-    out
-}
-
 fn lookup(results: &[(String, f64)], id: &str) -> Option<f64> {
     results.iter().find(|(i, _)| i == id).map(|(_, m)| *m)
 }
 
-/// Fails the bench on a >25% regression of the tiled path relative to the
-/// flat path, compared against the committed baseline's ratio. Comparing
-/// ratios instead of absolute medians keeps the gate meaningful across
-/// hosts of different speeds.
+/// Fails the bench when a tier stops paying, comparing medians of the
+/// current run only (host-independent; `BENCH_sweep.json` records them).
 fn regression_gate(criterion: &Criterion) {
     if std::env::var("FULLVIEW_BENCH_GATE").as_deref() == Ok("off") {
         println!("bench gate: FULLVIEW_BENCH_GATE=off, skipping");
         return;
     }
-    let baseline_path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_sweep.json");
-    let Ok(text) = std::fs::read_to_string(baseline_path) else {
-        println!("bench gate: no baseline at {baseline_path}, skipping");
-        return;
-    };
-    let baseline = parse_baseline(&text);
     let current: Vec<(String, f64)> = criterion
         .results()
         .iter()
         .map(|r| (r.id.clone(), r.median_ns))
         .collect();
 
-    const TOLERANCE: f64 = 1.25;
-    let mut gated = 0usize;
-    for (tiled_id, flat_id) in [
-        ("grid_sweep/serial", "grid_sweep/serial_flat"),
-        ("grid_sweep/parallel/2", "grid_sweep/parallel_flat/2"),
-    ] {
-        let (Some(bt), Some(bf)) = (lookup(&baseline, tiled_id), lookup(&baseline, flat_id)) else {
+    // Plan gate: the sweep plan against the exact oracle on the same
+    // configuration — the plan's mask tier must keep paying.
+    match (
+        lookup(&current, "grid_sweep/serial"),
+        lookup(&current, "grid_sweep/exact_cold"),
+    ) {
+        (Some(plan), Some(exact)) => {
+            let speedup = exact / plan;
             println!(
-                "bench gate: baseline lacks {tiled_id}/{flat_id} (old format?), skipping pair"
+                "bench gate: plan vs exact speedup {speedup:.1}x \
+                 (floor {MIN_MASK_SPEEDUP:.0}x)"
             );
-            continue;
-        };
-        let (Some(ct), Some(cf)) = (lookup(&current, tiled_id), lookup(&current, flat_id)) else {
-            println!("bench gate: current run lacks {tiled_id}/{flat_id}, skipping pair");
-            continue;
-        };
-        let baseline_ratio = bt / bf;
-        let current_ratio = ct / cf;
-        println!(
-            "bench gate: {tiled_id} vs {flat_id}: ratio {current_ratio:.3} \
-             (baseline {baseline_ratio:.3}, limit {:.3})",
-            baseline_ratio * TOLERANCE
-        );
-        assert!(
-            current_ratio <= baseline_ratio * TOLERANCE,
-            "tiled path regressed >25% vs flat relative to BENCH_sweep.json: \
-             {tiled_id} ratio {current_ratio:.3} > {:.3}",
-            baseline_ratio * TOLERANCE
-        );
-        gated += 1;
+            assert!(
+                speedup >= MIN_MASK_SPEEDUP,
+                "sweep plan no longer beats the exact engine: {speedup:.1}x < \
+                 {MIN_MASK_SPEEDUP:.0}x"
+            );
+        }
+        _ => println!("bench gate: serial/exact ids missing from current run, skipping"),
     }
-    println!("bench gate: {gated} tiled/flat pairs within tolerance");
 
     // Incremental gate: compares the *current* run's cold and resweep
     // medians, so it is host-independent and needs no baseline entry.
@@ -478,25 +402,31 @@ fn regression_gate(criterion: &Criterion) {
         _ => println!("bench gate: mask/exact ids missing from current run, skipping"),
     }
 
-    // Hierarchical-prover gate: current-run medians again (mask kernel
-    // vs quadtree prover on the large dense-omni grid).
-    match (
-        lookup(&current, "grid_sweep/hier_cold"),
-        lookup(&current, "grid_sweep/mask_cold_large"),
-    ) {
-        (Some(hier), Some(mask)) => {
-            let speedup = mask / hier;
-            println!(
-                "bench gate: hier prover speedup {speedup:.1}x \
-                 (floor {MIN_HIER_SPEEDUP:.0}x)"
-            );
-            assert!(
-                speedup >= MIN_HIER_SPEEDUP,
-                "hierarchical prover no longer pays: {speedup:.1}x < \
-                 {MIN_HIER_SPEEDUP:.0}x over the mask kernel at large sides"
-            );
+    // Certificate gates: current-run medians again (mask tier vs the
+    // forced certificate tier and vs the sweep plan on the large
+    // dense-omni grid).
+    for (id, what) in [
+        ("grid_sweep/hier_cold", "forced certificates"),
+        ("grid_sweep/plan_large", "sweep plan"),
+    ] {
+        match (
+            lookup(&current, id),
+            lookup(&current, "grid_sweep/mask_cold_large"),
+        ) {
+            (Some(fast), Some(mask)) => {
+                let speedup = mask / fast;
+                println!(
+                    "bench gate: {what} speedup {speedup:.1}x \
+                     (floor {MIN_HIER_SPEEDUP:.0}x)"
+                );
+                assert!(
+                    speedup >= MIN_HIER_SPEEDUP,
+                    "{what} no longer pay: {speedup:.1}x < \
+                     {MIN_HIER_SPEEDUP:.0}x over the mask tier at large sides"
+                );
+            }
+            _ => println!("bench gate: {id}/mask_cold_large missing from current run, skipping"),
         }
-        _ => println!("bench gate: hier/mask_large ids missing from current run, skipping"),
     }
 }
 
@@ -514,28 +444,27 @@ fn time_median_ns<F: FnMut() -> GridCoverageReport>(runs: usize, mut f: F) -> f6
     samples[samples.len() / 2]
 }
 
-/// Prints the tiled-vs-flat sweep table across grid sides (points per tile
-/// varies with grid density at fixed camera count). Enabled with
-/// `FULLVIEW_BENCH_SWEEP_TABLE=1`; output feeds the EXPERIMENTS.md
-/// appendix.
+/// Prints the plan-vs-exact sweep table across grid sides (points per
+/// tile varies with grid density at fixed camera count). Enabled with
+/// `FULLVIEW_BENCH_SWEEP_TABLE=1`.
 fn sweep_table(net: &CameraNetwork, theta: EffectiveAngle) {
-    println!("\n| grid side | points | tiles | pts/tile | flat ms | tiled ms | tiled/flat |");
-    println!("|-----------|--------|-------|----------|---------|----------|------------|");
+    println!("\n| grid side | points | tiles | pts/tile | exact ms | plan ms | plan/exact |");
+    println!("|-----------|--------|-------|----------|----------|---------|------------|");
     for side in [48usize, 96, 144, 192] {
         let grid = UnitGrid::new(Torus::unit(), side);
         let tiling = GridTiling::new(net.index(), &grid);
         let tiles = tiling.tile_count();
-        let flat = time_median_ns(5, || {
-            evaluate_grid_parallel_flat(net, theta, &grid, Angle::ZERO, 1)
+        let exact = time_median_ns(5, || {
+            GridEvaluator::new_exact(theta, Angle::ZERO).evaluate_grid(net, &grid)
         });
-        let tiled = time_median_ns(5, || evaluate_grid(net, theta, &grid, Angle::ZERO));
+        let plan = time_median_ns(5, || evaluate_grid(net, theta, &grid, Angle::ZERO));
         println!(
             "| {side} | {} | {tiles} | {:.1} | {:.1} | {:.1} | {:.3} |",
             grid.len(),
             grid.len() as f64 / tiles as f64,
-            flat / 1e6,
-            tiled / 1e6,
-            tiled / flat
+            exact / 1e6,
+            plan / 1e6,
+            plan / exact
         );
     }
     println!();

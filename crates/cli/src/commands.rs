@@ -11,17 +11,16 @@ use fullview_bench::loadgen::{
 };
 use fullview_cluster::{ClusterConfig, Coordinator};
 use fullview_core::{
-    analyze_point, barrier_full_view, classify_csa, critical_esr, csa_necessary, csa_one_coverage,
-    csa_sufficient, dense_grid, find_holes, is_full_view_covered, max_cameras_below_necessary,
-    min_cameras_for_guarantee, prob_point_full_view_poisson, prob_point_full_view_uniform,
-    prob_point_meets_necessary_poisson, prob_point_meets_sufficient_poisson,
-    required_area_for_expected_fraction, sweep_grid, unsafe_directions, EffectiveAngle,
-    SectorPartition,
+    analyze_point, barrier_full_view, classify_csa, coverage_map_text, critical_esr, csa_necessary,
+    csa_one_coverage, csa_sufficient, find_holes, is_full_view_covered,
+    max_cameras_below_necessary, min_cameras_for_guarantee, prob_point_full_view_poisson,
+    prob_point_full_view_uniform, prob_point_meets_necessary_poisson,
+    prob_point_meets_sufficient_poisson, required_area_for_expected_fraction, unsafe_directions,
+    EffectiveAngle,
 };
 use fullview_core::{evaluate_path, Path};
 use fullview_deploy::{deploy_poisson, deploy_uniform};
-use fullview_geom::{Angle, Point, Torus, UnitGrid};
-use fullview_hier::{coverage_glyphs_range_hier, evaluate_grid_hier, find_holes_hier};
+use fullview_geom::{Angle, Point, Torus};
 use fullview_model::{
     empirical_profile, network_from_text, network_to_text, profile_from_text, CameraNetwork,
     NetworkProfile, SensorSpec,
@@ -100,7 +99,6 @@ fn allowed_options(sub: &str, action: Option<&str>) -> Option<&'static [&'static
             "profile",
             "load",
             "threads",
-            "hier",
         ],
         "poisson" => &[
             "density",
@@ -120,7 +118,6 @@ fn allowed_options(sub: &str, action: Option<&str>) -> Option<&'static [&'static
             "profile",
             "load",
             "side",
-            "hier",
         ],
         "holes" => &[
             "theta-deg",
@@ -131,7 +128,6 @@ fn allowed_options(sub: &str, action: Option<&str>) -> Option<&'static [&'static
             "profile",
             "load",
             "grid",
-            "hier",
         ],
         "barrier" => &[
             "theta-deg",
@@ -210,7 +206,6 @@ fn allowed_options(sub: &str, action: Option<&str>) -> Option<&'static [&'static
             "admit-rate",
             "admit-burst",
             "wal",
-            "hier",
             "max-cells",
         ],
         "query" => &["addr", "req", "window", "deadline-ms"],
@@ -299,8 +294,6 @@ COMMANDS:
              [--wal PATH]  crash-safe persistence: restore PATH (snapshot)
              + PATH.wal (journal) on start, journal every mutation before
              applying; 'snapshot' (no path) checkpoints and truncates
-             [--hier]  answer grid queries through the hierarchical
-             prover (identical bytes; prover tallies under 'stats')
              [--max-cells N]  reject grid requests over N cells with a
              named err instead of attempting them
   query    send requests to a running daemon or cluster over one
@@ -339,10 +332,9 @@ instead of generating a random one, and --profile FILE to use a
 heterogeneous mix (text format: one 'fraction radius aov_rad' per line).
 Dense-grid commands (check, poisson, failures) accept --threads N to
 parallelise the grid sweep (0 = one per CPU; results are identical for
-every thread count). map, holes, and check accept --hier to sweep via
-the hierarchical coverage prover: byte-identical output, large grids
-(sides in the tens of thousands) become practical, prover tallies print
-on stderr.";
+every thread count). Grid sweeps pick their own evaluation tier per
+tile (certificate, mask screen, exact fallback); the output never
+depends on which one answered.";
 
 fn theta_of(cli: &Cli) -> Result<EffectiveAngle, Box<dyn Error>> {
     let deg: f64 = cli.get("theta-deg", 45.0)?;
@@ -488,16 +480,7 @@ fn cmd_check(cli: &Cli) -> Result<(), Box<dyn Error>> {
         net.len(),
         classify_csa(s_c, net.len().max(3), theta)
     );
-    // `--hier` sweeps the same dense grid through the hierarchical
-    // prover: identical report bytes on stdout, prover stats on stderr.
-    let report = if cli.flag("hier") {
-        let grid = dense_grid(*net.torus(), net.len());
-        let (report, stats) = evaluate_grid_hier(&net, theta, &grid, Angle::ZERO);
-        eprintln!("hier: {stats}");
-        report
-    } else {
-        evaluate_dense_grid_parallel(&net, theta, Angle::ZERO, threads_of(cli)?)
-    };
+    let report = evaluate_dense_grid_parallel(&net, theta, Angle::ZERO, threads_of(cli)?);
     println!("{report}");
     println!(
         "exact per-point full-view probability (theory): {:.4}",
@@ -535,40 +518,7 @@ fn cmd_map(cli: &Cli) -> Result<(), Box<dyn Error>> {
     let theta = theta_of(cli)?;
     let (_, net) = network_of(cli)?;
     let side: usize = cli.get("side", 48)?;
-    let grid = UnitGrid::new(Torus::unit(), side);
-    let necessary = SectorPartition::necessary(theta, Angle::ZERO);
-    let sufficient = SectorPartition::sufficient(theta, Angle::ZERO);
-    println!("legend: '#' sufficient, 'F' full-view, 'n' necessary, '.' covered, ' ' bare\n");
-    // Tile-coherent sweep through the shared engine; points arrive in tile
-    // order, so render into an index-keyed buffer before printing rows.
-    // `--hier` routes the sweep through the hierarchical prover instead
-    // (identical glyph bytes; prover stats go to stderr), which is what
-    // makes sides in the tens of thousands practical.
-    let cells: Vec<char> = if cli.flag("hier") {
-        let (glyphs, stats) = coverage_glyphs_range_hier(&net, theta, side, 0, side * side);
-        eprintln!("hier: {stats}");
-        glyphs.chars().collect()
-    } else {
-        let mut cells = vec![' '; grid.len()];
-        sweep_grid(&net, &grid, |idx, _, view| {
-            cells[idx] = if sufficient.is_satisfied_view(view) {
-                '#'
-            } else if view.is_full_view(theta) {
-                'F'
-            } else if necessary.is_satisfied_view(view) {
-                'n'
-            } else if view.covering_cameras > 0 {
-                '.'
-            } else {
-                ' '
-            };
-        });
-        cells
-    };
-    for j in (0..side).rev() {
-        let row: String = cells[j * side..(j + 1) * side].iter().collect();
-        println!("|{row}|");
-    }
+    print!("{}", coverage_map_text(&net, theta, side));
     Ok(())
 }
 
@@ -576,15 +526,7 @@ fn cmd_holes(cli: &Cli) -> Result<(), Box<dyn Error>> {
     let theta = theta_of(cli)?;
     let (_, net) = network_of(cli)?;
     let grid: usize = cli.get("grid", 24)?;
-    // `--hier`: same mask (hence the same report bytes) through the
-    // hierarchical prover; prover stats go to stderr.
-    let report = if cli.flag("hier") {
-        let (report, stats) = find_holes_hier(&net, theta, grid);
-        eprintln!("hier: {stats}");
-        report
-    } else {
-        find_holes(&net, theta, grid)
-    };
+    let report = find_holes(&net, theta, grid);
     println!("{report}");
     for (i, hole) in report.holes.iter().take(10).enumerate() {
         println!(
@@ -734,7 +676,6 @@ fn serve_config(cli: &Cli) -> Result<ServiceConfig, Box<dyn Error>> {
     config.cache_capacity = cli.get("cache", 128usize)?;
     config.admit_rate = cli.get("admit-rate", config.admit_rate)?;
     config.admit_burst = cli.get("admit-burst", config.admit_burst)?;
-    config.hier = cli.flag("hier");
     config.max_cells = cli.get("max-cells", config.max_cells)?;
     let wal: String = cli.get("wal", String::new())?;
     if !wal.is_empty() {
@@ -1107,10 +1048,12 @@ mod tests {
     }
 
     #[test]
-    fn hier_flag_runs_map_holes_check() {
-        run(&cli(&["map", "--n", "60", "--side", "12", "--hier"])).unwrap();
-        run(&cli(&["holes", "--n", "60", "--grid", "8", "--hier"])).unwrap();
-        run(&cli(&["check", "--n", "60", "--radius", "0.12", "--hier"])).unwrap();
+    fn hier_flag_is_gone_from_map_holes_check() {
+        // The sweep plan picks the tier itself: no command takes a tier
+        // flag, so `--hier` is rejected like any unknown flag.
+        assert!(run(&cli(&["map", "--n", "60", "--side", "12", "--hier"])).is_err());
+        assert!(run(&cli(&["holes", "--n", "60", "--grid", "8", "--hier"])).is_err());
+        assert!(run(&cli(&["check", "--n", "60", "--radius", "0.12", "--hier"])).is_err());
     }
 
     #[test]
@@ -1443,13 +1386,11 @@ mod tests {
     }
 
     #[test]
-    fn serve_config_maps_hier_and_max_cells() {
-        let config = serve_config(&cli(&["serve", "--hier", "--max-cells", "4096"])).unwrap();
-        assert!(config.hier);
+    fn serve_config_maps_max_cells() {
+        let config = serve_config(&cli(&["serve", "--max-cells", "4096"])).unwrap();
         assert_eq!(config.max_cells, 4096);
-        // Both default to off.
+        // Defaults to off.
         let config = serve_config(&cli(&["serve"])).unwrap();
-        assert!(!config.hier);
         assert_eq!(config.max_cells, 0);
     }
 

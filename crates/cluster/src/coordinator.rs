@@ -1077,6 +1077,7 @@ fn dispatch(
     req: &Request<'_>,
     received: Instant,
 ) -> Result<String, String> {
+    protocol::known_verb(req.verb(), true)?;
     match req.verb() {
         "ping" => {
             req.allow_only(&[])?;
@@ -1153,9 +1154,7 @@ fn dispatch(
         // `watch` is intercepted in `handle_connection` (it needs the
         // stream); reaching here means a non-connection context.
         "watch" => Err("watch requires a dedicated client connection".to_string()),
-        other => Err(format!(
-            "unknown request '{other}' (known: check, map, holes, kfull, prob, barrier, stats, shards, fingerprint, fail, move, reseed, watch, hello, ping, shutdown)"
-        )),
+        other => Err(format!("no handler for request '{other}'")),
     }
 }
 

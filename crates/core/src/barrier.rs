@@ -10,9 +10,8 @@
 //! look for a 4-connected left-to-right component — blocking every
 //! top-to-bottom crossing path.
 
-use crate::fullview::is_full_view_covered;
+use crate::holes::full_view_mask_range;
 use crate::theta::EffectiveAngle;
-use fullview_geom::UnitGrid;
 use fullview_model::CameraNetwork;
 use std::collections::VecDeque;
 use std::fmt;
@@ -74,13 +73,10 @@ pub fn barrier_full_view(
     grid_side: usize,
 ) -> BarrierReport {
     assert!(grid_side > 0, "grid side must be positive");
-    let grid = UnitGrid::new(*net.torus(), grid_side);
     let k = grid_side;
     // covered[j * k + i] for column i, row j (UnitGrid is row-major with
     // index = j * k + i).
-    let covered: Vec<bool> = (0..grid.len())
-        .map(|idx| is_full_view_covered(net, grid.point(idx), theta))
-        .collect();
+    let covered = full_view_mask_range(net, theta, grid_side, 0, k * k);
     let covered_cells = covered.iter().filter(|c| **c).count();
 
     // BFS from all covered cells in column 0 towards column k-1.

@@ -9,9 +9,11 @@
 //! per grid point.
 
 use crate::conditions::SectorPartition;
-use crate::engine::{use_tiled, GridTiling};
+use crate::engine::{GridTiling, SweepPlan};
 use crate::fullview::PointAnalyzer;
+use crate::kfullview::min_arc_depth;
 use crate::mask::{PointVerdict, ScreenMode, ScreenStats, SectorMaskKernel};
+use crate::prover::ProverStats;
 use crate::theta::EffectiveAngle;
 use fullview_geom::{Angle, Point, Torus, UnitGrid};
 use fullview_model::{CameraNetwork, CoverageProvider, TileCursor};
@@ -342,11 +344,6 @@ impl GridEvaluator {
     /// tile through the mask kernel when one is configured, then decides
     /// each point from its verdict or falls back to the exact analyzer.
     /// Empty tiles call `f` zero times without pinning the cursor.
-    ///
-    /// Every tiled evaluation funnels through here, so the kernel
-    /// integration (and its bit-identity obligations) live in exactly
-    /// one place. Public so out-of-crate hierarchical sweeps can route
-    /// their `Boundary` tiles through the very same funnel.
     pub fn for_each_point_flags_in_tile(
         &mut self,
         cursor: &mut TileCursor<'_>,
@@ -360,13 +357,49 @@ impl GridEvaluator {
         }
         let (cx, cy) = tiling.tile_cell(t);
         cursor.pin(cx, cy);
+        let (cols, rows) = (tiling.tile_col_range(t), tiling.tile_row_range(t));
+        self.flags_in_rect(cursor, grid, cols, rows, None, f);
+    }
+
+    /// The mask and exact tiers for grid columns `cols` × rows `rows`, a
+    /// non-empty rectangle inside the cell `cursor` is pinned to (rows
+    /// outer, columns inner). `only` restricts the screen to the listed
+    /// pinned candidates, which must include every one that reaches the
+    /// rectangle (see [`SectorMaskKernel`]'s rectangle screen).
+    ///
+    /// Every flags-level evaluation funnels through here, so the kernel
+    /// integration (and its bit-identity obligations) live in exactly
+    /// one place.
+    pub(crate) fn flags_in_rect(
+        &mut self,
+        cursor: &TileCursor<'_>,
+        grid: &UnitGrid,
+        cols: Range<usize>,
+        rows: Range<usize>,
+        only: Option<&[u32]>,
+        f: &mut dyn FnMut(usize, PointFlags),
+    ) {
+        let side = grid.side_count();
         // Take the kernel out of `self` so the exact fallback can borrow
         // `self` mutably while the kernel's verdicts are being read.
-        if let Some(mut kernel) = self.kernel.take() {
-            kernel.screen_tile(cursor, tiling, grid, t, ScreenMode::Report);
-            let mut local = 0usize;
-            tiling.for_each_point_in_tile(t, |idx| {
-                let flags = match kernel.verdict(local) {
+        let mut kernel = self.kernel.take();
+        if let Some(kernel) = kernel.as_mut() {
+            kernel.screen_rect(
+                cursor,
+                grid,
+                cols.clone(),
+                rows.clone(),
+                ScreenMode::Report,
+                only,
+            );
+        }
+        let mut local = 0usize;
+        for j in rows {
+            for idx in j * side + cols.start..j * side + cols.end {
+                let verdict = kernel
+                    .as_ref()
+                    .map_or(PointVerdict::Undecided, |k| k.verdict(local));
+                let flags = match verdict {
                     PointVerdict::Decided {
                         count,
                         suf_full,
@@ -382,20 +415,64 @@ impl GridEvaluator {
                         }
                     }
                     PointVerdict::Undecided => {
-                        self.stats.exact += 1;
-                        self.point_flags_with(&*cursor, grid.point(idx))
+                        if kernel.is_some() {
+                            self.stats.exact += 1;
+                        }
+                        self.point_flags_with(cursor, grid.point(idx))
                     }
                 };
                 local += 1;
                 f(idx, flags);
-            });
-            self.kernel = Some(kernel);
-        } else {
-            tiling.for_each_point_in_tile(t, |idx| {
-                let flags = self.point_flags_with(&*cursor, grid.point(idx));
-                f(idx, flags);
-            });
+            }
         }
+        self.kernel = kernel;
+    }
+
+    /// Counts the points of `lo..hi` inside the rectangle (as in
+    /// [`flags_in_rect`](Self::flags_in_rect)) whose view multiplicity
+    /// is at least `k ≥ 1`: the kernel's strict-depth screen decides what
+    /// it can, the exact arc-depth sweep the rest.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn count_k_in_rect(
+        &mut self,
+        cursor: &TileCursor<'_>,
+        grid: &UnitGrid,
+        cols: Range<usize>,
+        rows: Range<usize>,
+        only: Option<&[u32]>,
+        (lo, hi): (usize, usize),
+        k: usize,
+    ) -> usize {
+        let side = grid.side_count();
+        let k8 = u8::try_from(k).ok().filter(|&k8| k8 > 0);
+        let mut kernel = self.kernel.take();
+        if let (Some(kernel), Some(k)) = (kernel.as_mut(), k8) {
+            let mode = ScreenMode::Depth { k };
+            kernel.screen_rect(cursor, grid, cols.clone(), rows.clone(), mode, only);
+        }
+        let mut meeting = 0usize;
+        let mut local = 0usize;
+        for j in rows {
+            for idx in j * side + cols.start..j * side + cols.end {
+                if (lo..hi).contains(&idx) {
+                    let screened = kernel
+                        .as_ref()
+                        .zip(k8)
+                        .and_then(|(kernel, k)| kernel.k_verdict(local, k));
+                    let met = screened.unwrap_or_else(|| {
+                        let view = self.analyzer.analyze_point_with(cursor, grid.point(idx));
+                        let colocated_bonus = usize::from(view.has_colocated_camera);
+                        min_arc_depth(view.viewed_directions, self.theta.radians())
+                            + colocated_bonus
+                            >= k
+                    });
+                    meeting += usize::from(met);
+                }
+                local += 1;
+            }
+        }
+        self.kernel = kernel;
+        meeting
     }
 
     /// Evaluates every predicate at the grid points with indices in
@@ -467,67 +544,20 @@ impl GridEvaluator {
         report
     }
 
-    /// Evaluates every predicate over the grid points of the single tile
-    /// `t`, additionally recording each point's full-view verdict in
-    /// `mask` (indexed by row-major grid index). This is the re-evaluation
-    /// unit of the incremental dirty-tile engine
-    /// ([`IncrementalSweep`](crate::IncrementalSweep)): it runs the exact
-    /// same per-point tally as [`evaluate_tiles`](Self::evaluate_tiles),
-    /// so per-tile reports merge to a total bit-identical to a cold
-    /// whole-grid sweep.
-    ///
-    /// Empty tiles return the empty report without pinning the cursor.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `t >= tiling.tile_count()`, the tiling does not match
-    /// `grid`, or `mask` is shorter than the grid.
-    #[must_use]
-    pub fn evaluate_tile_masked(
-        &mut self,
-        cursor: &mut TileCursor<'_>,
-        tiling: &GridTiling,
-        grid: &UnitGrid,
-        t: usize,
-        mask: &mut [bool],
-    ) -> GridCoverageReport {
-        assert_eq!(
-            tiling.grid_len(),
-            grid.len(),
-            "tiling does not match the grid"
-        );
-        assert!(
-            mask.len() >= grid.len(),
-            "mask of {} entries is shorter than the {}-point grid",
-            mask.len(),
-            grid.len()
-        );
-        let mut report = GridCoverageReport::default();
-        self.for_each_point_flags_in_tile(cursor, tiling, grid, t, &mut |idx, flags| {
-            mask[idx] = flags.full_view;
-            report.record(&flags);
-        });
-        report
-    }
-
-    /// Evaluates the whole grid, automatically choosing the tiled path
-    /// when it is profitable ([`use_tiled`]) and the per-point path
-    /// otherwise. Both produce bit-identical reports.
+    /// Evaluates the whole grid tile by tile through this evaluator's
+    /// tiers alone (mask screen and exact fallback, or exact only for
+    /// [`new_exact`](Self::new_exact)) — never certificates.
     #[must_use]
     pub fn evaluate_grid(&mut self, net: &CameraNetwork, grid: &UnitGrid) -> GridCoverageReport {
-        if use_tiled(net, grid) {
-            let tiling = GridTiling::new(net.index(), grid);
-            let mut cursor = net.tile_cursor();
-            self.evaluate_tiles(&mut cursor, &tiling, grid, 0..tiling.tile_count())
-        } else {
-            self.evaluate_range(net, grid, 0..grid.len())
-        }
+        let tiling = GridTiling::new(net.index(), grid);
+        let mut cursor = net.tile_cursor();
+        self.evaluate_tiles(&mut cursor, &tiling, grid, 0..tiling.tile_count())
     }
 }
 
 /// Sweeps `grid`, evaluating every coverage predicate at each point
-/// (tile-coherent traversal when profitable; see
-/// [`GridEvaluator::evaluate_grid`]).
+/// through the sweep plan ([`SweepPlan`]: certificate, mask screen,
+/// exact fallback — bit-identical to the exact engine).
 ///
 /// The sector conditions use `start_line` for their constructions
 /// (the paper's dashed radius; [`Angle::ZERO`] is the conventional
@@ -539,9 +569,37 @@ pub fn evaluate_grid(
     grid: &UnitGrid,
     start_line: Angle,
 ) -> GridCoverageReport {
-    GridEvaluator::new(theta, start_line).evaluate_grid(net, grid)
+    let tiling = GridTiling::new(net.index(), grid);
+    let mut plan = SweepPlan::new(theta, start_line, *net.torus(), grid.len());
+    let mut cursor = net.tile_cursor();
+    let mut report = GridCoverageReport::default();
+    for t in 0..tiling.tile_count() {
+        report += plan.evaluate_tile(&mut cursor, &tiling, grid, t);
+    }
+    plan.finish();
+    report
 }
 
+/// [`evaluate_grid`] with certificates forced on every tile (never
+/// turned off by the plan's ledger), plus what they decided — the
+/// certificate tier measured on its own, as [`GridEvaluator::new`] and
+/// [`GridEvaluator::new_exact`] measure the mask and exact tiers.
+#[must_use]
+pub fn evaluate_grid_certified(
+    net: &CameraNetwork,
+    theta: EffectiveAngle,
+    grid: &UnitGrid,
+    start_line: Angle,
+) -> (GridCoverageReport, ProverStats) {
+    let tiling = GridTiling::new(net.index(), grid);
+    let mut plan = SweepPlan::forced(theta, start_line, *net.torus(), grid.len());
+    let mut cursor = net.tile_cursor();
+    let mut report = GridCoverageReport::default();
+    for t in 0..tiling.tile_count() {
+        report += plan.evaluate_tile(&mut cursor, &tiling, grid, t);
+    }
+    (report, plan.finish())
+}
 /// Convenience wrapper: evaluates the paper's dense grid
 /// (`m = ⌈n ln n⌉` with `n = net.len()`) over the network's torus.
 #[must_use]

@@ -53,8 +53,9 @@ use crate::conditions::SectorPartition;
 use crate::numeric::tolerant_floor;
 use crate::theta::EffectiveAngle;
 use fullview_geom::{Angle, Arc, Point, Torus, UnitGrid, ANGLE_EPS};
-use fullview_model::{Camera, CameraNetwork, TileCursor};
+use fullview_model::{Camera, TileCursor};
 use std::f64::consts::{PI, TAU};
+use std::ops::Range;
 
 use crate::engine::GridTiling;
 
@@ -426,11 +427,39 @@ impl SectorMaskKernel {
         t: usize,
         mode: ScreenMode,
     ) {
-        let cols = tiling.tile_col_range(t);
-        let rows = tiling.tile_row_range(t);
+        assert_eq!(tiling.grid_len(), grid.len(), "tiling does not match grid");
+        self.screen_rect(
+            cursor,
+            grid,
+            tiling.tile_col_range(t),
+            tiling.tile_row_range(t),
+            mode,
+            None,
+        );
+    }
+
+    /// Screens the grid columns `cols` × rows `rows` — a rectangle inside
+    /// the cell `cursor` is pinned to — with the pinned candidates, or
+    /// only those at the positions `only` lists when given. Leaving a
+    /// candidate out is exact when no point of the rectangle is within
+    /// its radius: such a camera never passes the `d² ≤ r²` prefilter,
+    /// so it cannot touch any count, mask or uncertainty flag. Verdicts
+    /// are indexed rows outer, columns inner.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the rectangle is empty.
+    pub(crate) fn screen_rect(
+        &mut self,
+        cursor: &TileCursor<'_>,
+        grid: &UnitGrid,
+        cols: Range<usize>,
+        rows: Range<usize>,
+        mode: ScreenMode,
+        only: Option<&[u32]>,
+    ) {
         let (ncols, nrows) = (cols.len(), rows.len());
         assert!(ncols > 0 && nrows > 0, "cannot screen an empty tile");
-        assert_eq!(tiling.grid_len(), grid.len(), "tiling does not match grid");
         let side = grid.side_count();
         let n = ncols * nrows;
         self.points = n;
@@ -470,7 +499,13 @@ impl SectorMaskKernel {
         let net = cursor.network();
         let torus = *net.torus();
         let cameras = net.cameras();
-        for pc in cursor.pinned_candidates() {
+        let pinned = cursor.pinned_candidates();
+        let all = 0..pinned.len() as u32;
+        let picks: &mut dyn Iterator<Item = u32> = match only {
+            Some(list) => &mut list.iter().copied(),
+            None => &mut all.into_iter(),
+        };
+        for pc in picks.map(|i| &pinned[i as usize]) {
             let cam = &cameras[pc.index()];
             let pos = pc.position();
             let cpos = cam.position();
@@ -691,61 +726,11 @@ impl SectorMaskKernel {
     }
 }
 
-/// Counts the points of `lo..hi` with view multiplicity ≥ `k` using the
-/// depth screen, falling back to the exact sweep per point (or wholesale
-/// when the kernel cannot engage). Bit-identical to the exact
-/// [`count_k_view_range`](crate::count_k_view_range) computation by
-/// construction — this *is* its fast path.
-pub(crate) fn count_k_screened_range(
-    net: &CameraNetwork,
-    grid: &UnitGrid,
-    theta: EffectiveAngle,
-    k: usize,
-    lo: usize,
-    hi: usize,
-    exact_multiplicity_at_least: &mut dyn FnMut(&TileCursor<'_>, Point, usize) -> bool,
-) -> Option<usize> {
-    use crate::engine::use_tiled;
-    if k == 0 || k > usize::from(u8::MAX) || !use_tiled(net, grid) {
-        return None;
-    }
-    // The screen's start line is arbitrary: the strict-depth argument
-    // holds for any partition, and certainty is what routes to exact.
-    let mut kernel = SectorMaskKernel::new(theta, Angle::ZERO)?;
-    let k8 = k as u8;
-    let tiling = GridTiling::new(net.index(), grid);
-    let mut cursor = net.tile_cursor();
-    let mut meeting = 0usize;
-    for t in 0..tiling.tile_count() {
-        let Some((min_idx, max_idx)) = tiling.tile_index_span(t) else {
-            continue;
-        };
-        if max_idx < lo || min_idx >= hi {
-            continue;
-        }
-        let (cx, cy) = tiling.tile_cell(t);
-        cursor.pin(cx, cy);
-        kernel.screen_tile(&cursor, &tiling, grid, t, ScreenMode::Depth { k: k8 });
-        let mut local = 0usize;
-        tiling.for_each_point_in_tile(t, |idx| {
-            if idx >= lo && idx < hi {
-                let met = match kernel.k_verdict(local, k8) {
-                    Some(m) => m,
-                    None => exact_multiplicity_at_least(&cursor, grid.point(idx), k),
-                };
-                meeting += usize::from(met);
-            }
-            local += 1;
-        });
-    }
-    Some(meeting)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::fullview::PointAnalyzer;
-    use fullview_model::{GroupId, SensorSpec};
+    use fullview_model::{CameraNetwork, GroupId, SensorSpec};
 
     fn theta(t: f64) -> EffectiveAngle {
         EffectiveAngle::new(t).unwrap()

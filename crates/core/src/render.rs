@@ -67,8 +67,8 @@ pub fn coverage_glyphs_range(
 /// `sweep` must call its callback exactly once per index of `lo..hi` (any
 /// order) with that point's [`PointFlags`]. The glyph mapping and buffer
 /// layout are shared with [`coverage_glyphs_range`], so any sweep whose
-/// flags are bit-identical to [`sweep_flags_range`] (e.g. the
-/// hierarchical prover) renders byte-identical glyphs.
+/// flags are bit-identical to [`sweep_flags_range`] (e.g. flags from the
+/// exact oracle) renders byte-identical glyphs.
 ///
 /// # Panics
 ///

@@ -1,32 +1,17 @@
 //! # fullview-hier
 //!
-//! A hierarchical coarse-to-fine **coverage prover** layered above
-//! `fullview-core`'s tile engine. A quadtree over the spatial-index
-//! tiling computes conservative per-node bounds — minimum/maximum
-//! wrapped camera distance over the node's rectangle and, per angular
-//! sector, a conservative viewed-direction cone containment test — and
-//! emits a certificate per node:
-//!
-//! * **`FullyCovered`** — every point of the rectangle provably passes
-//!   all five coverage predicates (and, on the k-count path, provably
-//!   reaches multiplicity `k`);
-//! * **`Empty`** — no camera reaches any point of the rectangle;
-//! * **`Boundary`** — undecided: recurse, and at the floor hand the
-//!   surviving points to the exact/mask kernel through the *same*
-//!   [`GridEvaluator`](fullview_core::GridEvaluator) funnel the cold
-//!   sweep uses.
-//!
-//! Interior nodes are proven without visiting a single grid point, so
-//! the combined answer is **bit-identical** to a cold
-//! [`fullview_core::sweep_flags_range`] by construction — the exact
-//! engine stays the oracle (differential tests pin this). What the
-//! prover decided is reported as [`ProverStats`].
+//! The certificate tier of `fullview-core`'s sweep plan, measured on its
+//! own. The quadtree prover lives in `fullview-core`, where every sweep
+//! tries its certificates through [`fullview_core::SweepPlan`] whenever
+//! they pay; this crate only re-exports the forced entry point (a
+//! certificate attempt on every tile, never switched off) under its
+//! historical name, for benchmarks that time each tier separately.
 //!
 //! ```
 //! use fullview_core::EffectiveAngle;
-//! use fullview_geom::{Angle, Point, Torus};
+//! use fullview_geom::{Angle, Point, Torus, UnitGrid};
 //! use fullview_model::{Camera, CameraNetwork, GroupId, SensorSpec};
-//! use fullview_hier::full_view_mask_range_hier;
+//! use fullview_hier::evaluate_grid_hier;
 //! use std::f64::consts::PI;
 //!
 //! let torus = Torus::unit();
@@ -41,125 +26,13 @@
 //!     .collect();
 //! let net = CameraNetwork::new(torus, cams);
 //! let theta = EffectiveAngle::new(PI / 3.0)?;
-//! let (mask, stats) = full_view_mask_range_hier(&net, theta, 48, 0, 48 * 48);
-//! assert_eq!(mask.len(), 48 * 48);
+//! let grid = UnitGrid::new(torus, 48);
+//! let (report, stats) = evaluate_grid_hier(&net, theta, &grid, Angle::ZERO);
+//! assert_eq!(report, fullview_core::evaluate_grid(&net, theta, &grid, Angle::ZERO));
 //! assert_eq!(stats.points_proved + stats.points_visited, 48 * 48);
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
 #![warn(missing_docs)]
-#![warn(missing_debug_implementations)]
 
-mod bounds;
-mod prover;
-
-pub use prover::{count_k_view_range_hier, sweep_flags_range_hier, ProverStats};
-
-use fullview_core::{
-    coverage_glyphs_range_with, coverage_map_from_glyphs, holes_from_mask, EffectiveAngle,
-    GridCoverageReport, HoleReport,
-};
-use fullview_geom::{Angle, UnitGrid};
-use fullview_model::CameraNetwork;
-
-/// Hier-backed counterpart of [`fullview_core::coverage_glyphs_range`]:
-/// the glyph row for grid indices `lo..hi` of a `side × side` grid,
-/// byte-identical to the exact engine's, plus the prover stats.
-///
-/// # Panics
-///
-/// Panics if `side == 0`, `lo > hi`, or `hi > side²`.
-#[must_use]
-pub fn coverage_glyphs_range_hier(
-    net: &CameraNetwork,
-    theta: EffectiveAngle,
-    side: usize,
-    lo: usize,
-    hi: usize,
-) -> (String, ProverStats) {
-    assert!(side > 0, "grid side must be positive");
-    let grid = UnitGrid::new(*net.torus(), side);
-    let mut stats = ProverStats::default();
-    let glyphs = coverage_glyphs_range_with(lo, hi, |emit| {
-        stats = sweep_flags_range_hier(net, &grid, theta, Angle::ZERO, lo, hi, |idx, flags| {
-            emit(idx, flags);
-        });
-    });
-    (glyphs, stats)
-}
-
-/// Hier-backed counterpart of [`fullview_core::coverage_map_text`]: the
-/// full rendered coverage map (legend plus `side` glyph rows),
-/// byte-identical to the exact engine's, plus the prover stats.
-///
-/// # Panics
-///
-/// Panics if `side == 0`.
-#[must_use]
-pub fn coverage_map_text_hier(
-    net: &CameraNetwork,
-    theta: EffectiveAngle,
-    side: usize,
-) -> (String, ProverStats) {
-    let (glyphs, stats) = coverage_glyphs_range_hier(net, theta, side, 0, side * side);
-    (coverage_map_from_glyphs(side, &glyphs), stats)
-}
-
-/// Hier-backed counterpart of [`fullview_core::full_view_mask_range`]:
-/// `covered[idx - lo]` is the exact full-view verdict at grid index
-/// `idx`, plus the prover stats.
-///
-/// # Panics
-///
-/// Panics if `grid_side == 0`, `lo > hi`, or `hi > grid_side²`.
-#[must_use]
-pub fn full_view_mask_range_hier(
-    net: &CameraNetwork,
-    theta: EffectiveAngle,
-    grid_side: usize,
-    lo: usize,
-    hi: usize,
-) -> (Vec<bool>, ProverStats) {
-    assert!(grid_side > 0, "grid side must be positive");
-    let grid = UnitGrid::new(*net.torus(), grid_side);
-    let mut stats = ProverStats::default();
-    let mask = fullview_core::full_view_mask_range_with(lo, hi, |emit| {
-        stats = sweep_flags_range_hier(net, &grid, theta, Angle::ZERO, lo, hi, |idx, flags| {
-            emit(idx, flags);
-        });
-    });
-    (mask, stats)
-}
-
-/// Hier-backed counterpart of [`fullview_core::find_holes`]: the same
-/// [`HoleReport`] (identical `Display` bytes), plus the prover stats.
-///
-/// # Panics
-///
-/// Panics if `grid_side == 0`.
-#[must_use]
-pub fn find_holes_hier(
-    net: &CameraNetwork,
-    theta: EffectiveAngle,
-    grid_side: usize,
-) -> (HoleReport, ProverStats) {
-    let (mask, stats) = full_view_mask_range_hier(net, theta, grid_side, 0, grid_side * grid_side);
-    (holes_from_mask(*net.torus(), grid_side, &mask), stats)
-}
-
-/// Hier-backed counterpart of [`fullview_core::evaluate_grid`]: the
-/// same [`GridCoverageReport`] tallies (identical report), plus the
-/// prover stats.
-#[must_use]
-pub fn evaluate_grid_hier(
-    net: &CameraNetwork,
-    theta: EffectiveAngle,
-    grid: &UnitGrid,
-    start_line: Angle,
-) -> (GridCoverageReport, ProverStats) {
-    let mut report = GridCoverageReport::default();
-    let stats = sweep_flags_range_hier(net, grid, theta, start_line, 0, grid.len(), |_, flags| {
-        report.record(&flags);
-    });
-    (report, stats)
-}
+pub use fullview_core::{evaluate_grid_certified as evaluate_grid_hier, ProverStats};

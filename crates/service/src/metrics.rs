@@ -26,28 +26,11 @@ const LATENCY_BUCKETS: usize = 2_000;
 /// that a handful of handler threads rarely collide, cheap to merge.
 const STRIPES: usize = 8;
 
-/// The endpoint names tracked by [`Metrics`], in reporting order.
-pub const ENDPOINTS: &[&str] = &[
-    "check",
-    "map",
-    "holes",
-    "kfull",
-    "prob",
-    "cells",
-    "mask",
-    "kcount",
-    "stats",
-    "fingerprint",
-    "snapshot",
-    "restore",
-    "fail",
-    "move",
-    "reseed",
-    "shards",
-    "hello",
-    "ping",
-    "shutdown",
-];
+/// The endpoints tracked by [`Metrics`], in reporting order: every verb
+/// of [`VERBS`](crate::protocol::VERBS).
+fn endpoints() -> impl Iterator<Item = &'static str> {
+    crate::protocol::VERBS.iter().map(|v| v.name)
+}
 
 #[derive(Debug)]
 struct Stripe {
@@ -58,7 +41,7 @@ struct Stripe {
 impl Stripe {
     fn new() -> Self {
         Stripe {
-            counts: vec![0; ENDPOINTS.len()],
+            counts: vec![0; crate::protocol::VERBS.len()],
             latency: Histogram::new(0.0, LATENCY_MAX_MS, LATENCY_BUCKETS),
         }
     }
@@ -78,7 +61,7 @@ pub struct Metrics {
 pub struct MetricsSnapshot {
     /// Seconds since the server started.
     pub uptime_s: f64,
-    /// `(endpoint, requests)` in [`ENDPOINTS`] order.
+    /// `(endpoint, requests)` in [`VERBS`](crate::protocol::VERBS) order.
     pub counts: Vec<(&'static str, u64)>,
     /// Requests rejected before dispatch (unknown verb, parse error,
     /// queue full).
@@ -126,7 +109,7 @@ impl Metrics {
     /// end-to-end (parse to response ready).
     pub fn record(&self, endpoint: &str, latency_ms: f64) {
         let mut stripe = self.stripes[stripe_of()].lock().expect("metrics lock");
-        if let Some(i) = ENDPOINTS.iter().position(|e| *e == endpoint) {
+        if let Some(i) = endpoints().position(|e| e == endpoint) {
             stripe.counts[i] += 1;
         }
         // Guard against non-finite timings rather than panicking the
@@ -150,7 +133,7 @@ impl Metrics {
     /// recording stripes sample-exactly.
     #[must_use]
     pub fn snapshot(&self) -> MetricsSnapshot {
-        let mut counts = vec![0u64; ENDPOINTS.len()];
+        let mut counts = vec![0u64; crate::protocol::VERBS.len()];
         let mut latency = Histogram::new(0.0, LATENCY_MAX_MS, LATENCY_BUCKETS);
         for stripe in &self.stripes {
             let stripe = stripe.lock().expect("metrics lock");
@@ -159,8 +142,7 @@ impl Metrics {
             }
             latency.merge(&stripe.latency);
         }
-        let counts: Vec<(&'static str, u64)> =
-            ENDPOINTS.iter().zip(counts).map(|(e, c)| (*e, c)).collect();
+        let counts: Vec<(&'static str, u64)> = endpoints().zip(counts).collect();
         MetricsSnapshot {
             uptime_s: self.started.elapsed().as_secs_f64(),
             total: counts.iter().map(|(_, c)| c).sum(),

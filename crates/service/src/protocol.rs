@@ -19,6 +19,78 @@ use std::io::{self, BufRead, Read, Write};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, Ordering};
 
+/// One request verb of the wire protocol.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Verb {
+    /// The verb as it opens a request line.
+    pub name: &'static str,
+    /// Served by a shard daemon.
+    pub daemon: bool,
+    /// Served by the cluster coordinator.
+    pub coordinator: bool,
+    /// Consumes worker or mutation capacity, so a daemon passes it
+    /// through the admission gate. Administrative verbs (`ping`,
+    /// `stats`, `hello`, `shutdown`) and the coordinator's resync verbs
+    /// (`fingerprint`, `snapshot`, `restore`) are never shed — a
+    /// throttled client must still be able to observe its own
+    /// throttling.
+    pub gated: bool,
+}
+
+const fn verb(name: &'static str, daemon: bool, coordinator: bool, gated: bool) -> Verb {
+    Verb {
+        name,
+        daemon,
+        coordinator,
+        gated,
+    }
+}
+
+/// Every verb either front-end serves, in reporting order: the single
+/// source of the metrics endpoints, the admission-gated set and each
+/// front-end's known-verb list.
+pub const VERBS: &[Verb] = &[
+    verb("check", true, true, true),
+    verb("map", true, true, true),
+    verb("holes", true, true, true),
+    verb("kfull", true, true, true),
+    verb("prob", true, true, true),
+    verb("cells", true, false, true),
+    verb("mask", true, false, true),
+    verb("kcount", true, false, true),
+    verb("barrier", true, true, true),
+    verb("stats", true, true, false),
+    verb("shards", false, true, false),
+    verb("fingerprint", true, true, false),
+    verb("snapshot", true, false, false),
+    verb("restore", true, false, false),
+    verb("fail", true, true, true),
+    verb("move", true, true, true),
+    verb("reseed", true, true, true),
+    verb("watch", true, true, false),
+    verb("hello", true, true, false),
+    verb("ping", true, true, false),
+    verb("shutdown", true, true, false),
+];
+
+/// Looks `name` up among the verbs a front-end serves (`coordinator`
+/// selects which), or the `unknown request` error naming them all.
+///
+/// # Errors
+///
+/// The error message when the front-end does not serve `name`.
+pub fn known_verb(name: &str, coordinator: bool) -> Result<&'static Verb, String> {
+    let serves = |v: &&Verb| if coordinator { v.coordinator } else { v.daemon };
+    VERBS
+        .iter()
+        .filter(serves)
+        .find(|v| v.name == name)
+        .ok_or_else(|| {
+            let known: Vec<&str> = VERBS.iter().filter(serves).map(|v| v.name).collect();
+            format!("unknown request '{name}' (known: {})", known.join(", "))
+        })
+}
+
 /// Upper bound on a request line, to keep a hostile peer from growing an
 /// unbounded buffer. An oversized line is answered with an `err` frame
 /// (see [`LineRead::Oversized`]) before the connection closes.

@@ -8,7 +8,7 @@
 //! exactly.
 
 use fullview_model::{NetworkProfile, SensorSpec};
-use fullview_service::{Client, Response, Server, ServiceConfig};
+use fullview_service::{protocol, Client, Response, Server, ServiceConfig};
 use std::io::{Read, Write};
 use std::net::{Shutdown, TcpStream};
 use std::time::Duration;
@@ -127,28 +127,15 @@ fn shuffled_verbs_and_hostile_parameters_always_get_a_frame() {
     // values, missing/duplicate/empty parameters, unknown verbs. Every
     // one must come back as a frame on a *persistent* connection — no
     // close, no hang, no panic.
-    const VERBS: &[&str] = &[
-        "check",
-        "map",
-        "holes",
-        "kfull",
-        "prob",
-        "cells",
-        "mask",
-        "kcount",
-        "fail",
-        "move",
-        "reseed",
-        "stats",
-        "fingerprint",
-        "hello",
-        "ping",
-        "snapshot",
-        "restore",
-        "bogus",
-        "CHECK",
-        "",
-    ];
+    // Every protocol verb except the two that end the session (`shutdown`
+    // stops the daemon, `watch` takes the connection over), plus
+    // unknown ones.
+    let verbs: Vec<&str> = protocol::VERBS
+        .iter()
+        .map(|v| v.name)
+        .filter(|name| !matches!(*name, "shutdown" | "watch"))
+        .chain(["bogus", "CHECK", ""])
+        .collect();
     const PARAMS: &[&str] = &[
         "side=16",
         "side=0",
@@ -186,7 +173,7 @@ fn shuffled_verbs_and_hostile_parameters_always_get_a_frame() {
     let mut rng = 0xDEAD_BEEFu64;
     for round in 0..200u64 {
         rng = splitmix64(rng ^ round);
-        let mut line = VERBS[(rng % VERBS.len() as u64) as usize].to_string();
+        let mut line = verbs[(rng % verbs.len() as u64) as usize].to_string();
         let mut s = rng;
         for _ in 0..(rng >> 8) % 5 {
             s = splitmix64(s);

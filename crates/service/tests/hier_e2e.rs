@@ -1,18 +1,26 @@
-//! End-to-end tests for the hierarchical-prover daemon path, the
-//! `barrier` verb, and the `max-cells` admission budget — all over real
-//! TCP on ephemeral ports.
+//! End-to-end tests for the daemon's sweep plan, the `barrier` verb,
+//! and the `max-cells` admission budget — all over real TCP on
+//! ephemeral ports.
 //!
-//! The hier contract is the strongest one the daemon makes: flipping
-//! `--hier` changes *zero* wire bytes. Every query answered by the
-//! prover-backed path is compared against a plain exact daemon serving
-//! the identically-seeded fleet.
+//! The plan contract is the strongest one the daemon makes: whichever
+//! tier (certificate, mask screen, exact fallback) decides a point,
+//! the wire bytes equal the library's exact answers. Every query is
+//! compared against answers rendered from the exact oracle
+//! (`GridEvaluator::new_exact`, `PointAnalyzer`) over the
+//! identically-built fleet — including grids where certificates fire.
 
-use fullview_core::{barrier_full_view, EffectiveAngle};
+use fullview_core::{
+    barrier_full_view, coverage_glyphs_range_with, coverage_map_from_glyphs, dense_grid,
+    hole_report_text, holes_from_mask, kfull_text, min_arc_depth, EffectiveAngle, GridEvaluator,
+    PointAnalyzer, PointFlags,
+};
 use fullview_deploy::deploy_uniform;
-use fullview_model::{NetworkProfile, SensorSpec};
-use fullview_service::{Client, Response, Server, ServiceConfig};
+use fullview_geom::{Angle, Point, Torus, UnitGrid};
+use fullview_model::{Camera, CameraNetwork, GroupId, NetworkProfile, SensorSpec};
+use fullview_service::{Client, Request, Response, Server, ServiceConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::f64::consts::{PI, TAU};
 use std::time::Duration;
 
 const N: usize = 60;
@@ -22,12 +30,11 @@ fn test_profile() -> NetworkProfile {
     NetworkProfile::homogeneous(SensorSpec::new(0.15, 120f64.to_radians()).expect("valid spec"))
 }
 
-fn config_with(hier: bool, max_cells: usize) -> ServiceConfig {
+fn config_with(max_cells: usize) -> ServiceConfig {
     let mut config = ServiceConfig::new(test_profile());
     config.n = N;
     config.seed = SEED;
     config.workers = 2;
-    config.hier = hier;
     config.max_cells = max_cells;
     config
 }
@@ -40,12 +47,111 @@ fn connect(server: &Server) -> Client {
     client
 }
 
+/// The exact oracle's answer to one query line, rendered as the daemon
+/// renders it (`theta` is the daemon default unless the line names one).
+fn exact_answer(net: &CameraNetwork, default_theta: EffectiveAngle, line: &str) -> String {
+    let req = Request::parse(line).expect("query parses");
+    let deg: f64 = req.get("theta-deg", f64::NAN).expect("theta");
+    let theta = if deg.is_nan() {
+        default_theta
+    } else {
+        EffectiveAngle::new(deg.to_radians()).expect("theta")
+    };
+    let torus = *net.torus();
+    let flags = |side: usize, lo: usize, hi: usize| -> Vec<PointFlags> {
+        let grid = UnitGrid::new(torus, side);
+        let mut ev = GridEvaluator::new_exact(theta, Angle::ZERO);
+        (lo..hi)
+            .map(|idx| ev.point_flags_with(net, grid.point(idx)))
+            .collect()
+    };
+    let glyphs = |side: usize, lo: usize, hi: usize| {
+        let f = flags(side, lo, hi);
+        coverage_glyphs_range_with(lo, hi, |emit| {
+            for (off, flags) in f.iter().enumerate() {
+                emit(lo + off, *flags);
+            }
+        })
+    };
+    let kcount = |k: usize, side: usize, lo: usize, hi: usize| {
+        let grid = UnitGrid::new(torus, side);
+        let mut analyzer = PointAnalyzer::new();
+        (lo..hi)
+            .filter(|&idx| {
+                let view = analyzer.analyze_point_with(net, grid.point(idx));
+                min_arc_depth(view.viewed_directions, theta.radians())
+                    + usize::from(view.has_colocated_camera)
+                    >= k
+            })
+            .count()
+    };
+    let side: usize = req.get("side", 48).expect("side");
+    let grid: usize = req.get("grid", 24).expect("grid");
+    let k: usize = req.get("k", 2).expect("k");
+    let total = |s: usize| s * s;
+    match req.verb() {
+        "check" => {
+            let dense = dense_grid(torus, net.len());
+            let report = GridEvaluator::new_exact(theta, Angle::ZERO).evaluate_grid(net, &dense);
+            format!(
+                "{} cameras\n{report}\nfull-view fraction {:.4}\n",
+                net.len(),
+                report.full_view_fraction()
+            )
+        }
+        "map" => coverage_map_from_glyphs(side, &glyphs(side, 0, total(side))),
+        "cells" => {
+            let lo: usize = req.get("lo", 0).expect("lo");
+            let hi: usize = req.get("hi", total(side)).expect("hi");
+            glyphs(side, lo, hi)
+        }
+        "holes" => {
+            let mask: Vec<bool> = flags(grid, 0, total(grid))
+                .iter()
+                .map(|f| f.full_view)
+                .collect();
+            hole_report_text(&holes_from_mask(torus, grid, &mask))
+        }
+        "mask" => {
+            let lo: usize = req.get("lo", 0).expect("lo");
+            let hi: usize = req.get("hi", total(grid)).expect("hi");
+            flags(grid, lo, hi)
+                .iter()
+                .map(|f| if f.full_view { '1' } else { '0' })
+                .collect()
+        }
+        "kfull" => kfull_text(k, grid, kcount(k, grid, 0, total(grid)), total(grid)),
+        "kcount" => {
+            let lo: usize = req.get("lo", 0).expect("lo");
+            let hi: usize = req.get("hi", total(grid)).expect("hi");
+            format!("{}\n", kcount(k, grid, lo, hi))
+        }
+        "barrier" => format!("{}\n", barrier_full_view(net, theta, grid)),
+        other => panic!("no oracle for '{other}'"),
+    }
+}
+
+/// The `nodes` counter of the daemon's `stats` hier line.
+fn prover_nodes(client: &mut Client) -> usize {
+    let stats = client.request_ok("stats").expect("stats");
+    let line = stats
+        .lines()
+        .find(|l| l.starts_with("hier: "))
+        .unwrap_or_else(|| panic!("no 'hier:' line in:\n{stats}"));
+    assert!(!line.contains("enabled="), "{line}");
+    line.split_whitespace()
+        .nth(2)
+        .and_then(|n| n.parse().ok())
+        .unwrap_or_else(|| panic!("no node count in {line}"))
+}
+
 #[test]
-fn hier_daemon_answers_are_byte_identical_to_the_exact_daemon() {
-    let exact = Server::start(config_with(false, 0)).expect("exact daemon");
-    let hier = Server::start(config_with(true, 0)).expect("hier daemon");
-    let mut exact_client = connect(&exact);
-    let mut hier_client = connect(&hier);
+fn daemon_answers_are_byte_identical_to_the_exact_library() {
+    let server = Server::start(config_with(0)).expect("daemon");
+    let mut client = connect(&server);
+    let mut rng = StdRng::seed_from_u64(SEED);
+    let net = deploy_uniform(Torus::unit(), &test_profile(), N, &mut rng).unwrap();
+    let theta = EffectiveAngle::new(PI / 4.0).unwrap();
 
     // Every grid-sweep verb, including the ranged scatter verbs the
     // cluster coordinator rides, at a theta that lands on a sector
@@ -61,35 +167,71 @@ fn hier_daemon_answers_are_byte_identical_to_the_exact_daemon() {
         "map side=24 theta-deg=60",
         "barrier grid=12",
     ] {
-        let want = exact_client.request_ok(query).expect(query);
-        let got = hier_client.request_ok(query).expect(query);
-        assert_eq!(got, want, "'{query}' bytes differ between hier and exact");
+        let got = client.request_ok(query).expect(query);
+        assert_eq!(
+            got,
+            exact_answer(&net, theta, query),
+            "'{query}' bytes differ"
+        );
     }
+}
 
-    // The prover's work is visible through `stats` on the hier daemon
-    // and reported idle on the exact one.
-    let stats = hier_client.request_ok("stats").expect("stats");
-    let line = stats
-        .lines()
-        .find(|l| l.starts_with("hier: "))
-        .unwrap_or_else(|| panic!("no 'hier:' line in:\n{stats}"));
-    assert!(line.contains("enabled=true"), "{line}");
-    assert!(!line.contains("nodes 0 "), "prover never ran: {line}");
-    let stats = exact_client.request_ok("stats").expect("stats");
-    let line = stats
-        .lines()
-        .find(|l| l.starts_with("hier: "))
-        .expect("exact daemon also reports the hier line");
-    assert!(line.contains("enabled=false"), "{line}");
+/// A dense omnidirectional scatter on which certificates prove most of a
+/// fine grid.
+fn dense_omni() -> CameraNetwork {
+    let spec = SensorSpec::new(0.12, TAU).unwrap();
+    let cams: Vec<Camera> = (0..420)
+        .map(|i| {
+            let t = i as f64;
+            let pos = Point::new(
+                (t * 0.754_877_666_246_693).fract(),
+                (t * 0.569_840_290_998_053 + 0.137).fract(),
+            );
+            Camera::new(pos, Angle::new(t * 2.399_963), spec, GroupId(i % 3))
+        })
+        .collect();
+    CameraNetwork::new(Torus::unit(), cams)
+}
+
+#[test]
+fn certificate_answers_are_byte_identical_to_the_exact_library() {
+    let net = dense_omni();
+    let mut config = ServiceConfig::new(test_profile());
+    config.n = net.len();
+    config.preloaded = Some(net.clone());
+    let theta = EffectiveAngle::new(PI / 3.0).unwrap();
+    config.theta = theta;
+    let server = Server::start(config).expect("daemon");
+    let mut client = connect(&server);
+    assert_eq!(prover_nodes(&mut client), 0, "no sweep ran yet");
+
+    // 384² points on an 8×8 tile lattice: tiles of 2 304 points, where
+    // the plan tries certificates and they pay.
+    for query in [
+        "map side=384",
+        "holes grid=384",
+        "cells side=384 lo=1000 hi=90000",
+        "mask grid=384 lo=70000 hi=147456",
+        "kcount k=2 grid=320 lo=0 hi=102400",
+        "kfull k=3 grid=320",
+    ] {
+        let got = client.request_ok(query).expect(query);
+        assert_eq!(
+            got,
+            exact_answer(&net, theta, query),
+            "'{query}' bytes differ"
+        );
+    }
+    assert!(prover_nodes(&mut client) > 0, "certificates never ran");
 }
 
 #[test]
 fn barrier_verb_matches_the_direct_library_call() {
-    let server = Server::start(config_with(false, 0)).expect("daemon");
+    let server = Server::start(config_with(0)).expect("daemon");
     let mut client = connect(&server);
 
     let mut rng = StdRng::seed_from_u64(SEED);
-    let net = deploy_uniform(fullview_geom::Torus::unit(), &test_profile(), N, &mut rng).unwrap();
+    let net = deploy_uniform(Torus::unit(), &test_profile(), N, &mut rng).unwrap();
 
     for (query, theta_deg, grid) in [
         ("barrier grid=12", 45.0, 12),
@@ -113,7 +255,7 @@ fn barrier_verb_matches_the_direct_library_call() {
 
 #[test]
 fn max_cells_budget_rejects_oversized_grids_and_daemon_keeps_serving() {
-    let server = Server::start(config_with(true, 1_024)).expect("daemon");
+    let server = Server::start(config_with(1_024)).expect("daemon");
     let mut client = connect(&server);
 
     // Within budget: 20×20 = 400 ≤ 1024.

@@ -1,10 +1,10 @@
 //! Differential test: the parallel dense-grid sweep must be bit-identical
 //! to the serial `fullview_core::evaluate_grid` for every thread count.
 //!
-//! Integer tallies over disjoint chunks merge exactly, so even float-free
+//! Integer tallies over disjoint tiles merge exactly, so even float-free
 //! equality (`==` on every report field) must hold regardless of
 //! scheduling. Thread counts deliberately include 7 (doesn't divide the
-//! chunk count) and more threads than chunks.
+//! tile count) and more threads than tiles.
 
 use fullview_core::{dense_grid, evaluate_grid, EffectiveAngle};
 use fullview_deploy::deploy_uniform;
@@ -26,7 +26,7 @@ fn parallel_equals_serial_for_all_thread_counts_and_seeds() {
     let theta = EffectiveAngle::new(PI / 3.0).unwrap();
     for seed in [0u64, 42, 0xDEAD_BEEF] {
         let net = network(150, seed, 0.16, PI);
-        // Big enough for several 1024-point chunks.
+        // Several dozen tiles to claim.
         let grid = UnitGrid::new(Torus::unit(), 70); // 4900 points
         let serial = evaluate_grid(&net, theta, &grid, Angle::ZERO);
         for threads in [1usize, 2, 4, 7] {
@@ -41,20 +41,17 @@ fn parallel_equals_serial_for_all_thread_counts_and_seeds() {
 
 #[test]
 fn mask_screened_parallel_matches_wholesale_exact() {
-    // The parallel sweep builds `GridEvaluator::new` internally, so it
+    // The parallel sweep runs every tile through the sweep plan, so it
     // inherits the two-stage sector-mask kernel. Pin it against the
-    // wholesale exact per-point evaluator (`new_exact`, no screening at
-    // all) for every thread count — this crosses both the kernel/exact
-    // boundary and the serial/parallel boundary in one differential.
+    // exact oracle (`new_exact`, no screening at all) for every thread
+    // count — this crosses both the kernel/exact boundary and the
+    // serial/parallel boundary in one differential.
     let theta = EffectiveAngle::new(PI / 3.0).unwrap();
     for (seed, phi) in [(1u64, PI), (9, 2.0 * PI), (77, PI / 6.0)] {
         let net = network(120, seed, 0.15, phi);
         let grid = UnitGrid::new(Torus::unit(), 48); // 2304 points
-        let exact = fullview_core::GridEvaluator::new_exact(theta, Angle::ZERO).evaluate_range(
-            &net,
-            &grid,
-            0..grid.len(),
-        );
+        let exact =
+            fullview_core::GridEvaluator::new_exact(theta, Angle::ZERO).evaluate_grid(&net, &grid);
         for threads in [1usize, 2, 4] {
             let par = evaluate_grid_parallel(&net, theta, &grid, Angle::ZERO, threads);
             assert_eq!(par, exact, "threads={threads} seed={seed} phi={phi}");
@@ -89,7 +86,7 @@ fn heterogeneous_profile_and_awkward_start_line_agree() {
     let net = deploy_uniform(Torus::unit(), &profile, 200, &mut rng).unwrap();
     let theta = EffectiveAngle::new(0.41 * PI).unwrap();
     let start = Angle::new(1.234);
-    let grid = UnitGrid::new(Torus::unit(), 64); // 4096 points = 4 exact chunks
+    let grid = UnitGrid::new(Torus::unit(), 64); // 4096 points
     let serial = evaluate_grid(&net, theta, &grid, start);
     for threads in [2usize, 3, 5, 8] {
         assert_eq!(
