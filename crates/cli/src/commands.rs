@@ -199,7 +199,6 @@ fn allowed_options(sub: &str, action: Option<&str>) -> Option<&'static [&'static
             "profile",
             "load",
             "addr",
-            "threads",
             "workers",
             "queue",
             "cache",
@@ -670,7 +669,6 @@ fn serve_config(cli: &Cli) -> Result<ServiceConfig, Box<dyn Error>> {
     config.n = cli.get("n", 400)?;
     config.seed = cli.get("seed", 0)?;
     config.theta = theta_of(cli)?;
-    config.eval_threads = threads_of(cli)?;
     config.workers = cli.get("workers", 2usize)?;
     config.queue_capacity = cli.get("queue", 64usize)?;
     config.cache_capacity = cli.get("cache", 128usize)?;
@@ -1222,14 +1220,12 @@ mod tests {
             "7",
             "--cache",
             "5",
-            "--threads",
-            "2",
         ]))
         .unwrap();
         assert_eq!(config.addr, "0.0.0.0:0");
         assert_eq!((config.n, config.seed), (55, 9));
         assert_eq!((config.workers, config.queue_capacity), (3, 7));
-        assert_eq!((config.cache_capacity, config.eval_threads), (5, 2));
+        assert_eq!(config.cache_capacity, 5);
         assert!(config.preloaded.is_none());
     }
 

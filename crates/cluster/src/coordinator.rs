@@ -53,15 +53,15 @@ use crate::merge::{aggregate, chunk_ranges, parse_shard_stats, ShardStats};
 use crate::shard::{is_overload, ShardError, ShardState, DEFAULT_BREAKER_THRESHOLD};
 use fullview_core::{coverage_map_from_glyphs, hole_report_text, holes_from_mask, kfull_text};
 use fullview_geom::Torus;
+use fullview_service::frontend::{Dispatch, Frontend, Incoming, Service};
 use fullview_service::protocol::{self, Request};
-use fullview_service::Metrics;
+use fullview_service::{Metrics, Response};
 use std::fmt::Write as _;
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// How the coordinator is assembled.
@@ -208,8 +208,6 @@ struct ClusterCtx {
     /// Rotation cursor breaking least-loaded ties between equal replicas.
     rr: AtomicUsize,
     metrics: Metrics,
-    shutdown: AtomicBool,
-    addr: SocketAddr,
 }
 
 impl ClusterCtx {
@@ -253,13 +251,13 @@ impl ClusterCtx {
 /// daemons are independent processes and are left running.
 pub struct Coordinator {
     ctx: Arc<ClusterCtx>,
-    acceptor: Option<JoinHandle<()>>,
+    frontend: Frontend,
 }
 
 impl std::fmt::Debug for Coordinator {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Coordinator")
-            .field("addr", &self.ctx.addr)
+            .field("addr", &self.frontend.local_addr())
             .field("shards", &self.ctx.shards.len())
             .finish()
     }
@@ -283,7 +281,6 @@ impl Coordinator {
             ));
         }
         let listener = TcpListener::bind(&cfg.addr)?;
-        let addr = listener.local_addr()?;
         let shards: Vec<Mutex<ShardState>> = cfg
             .shard_addrs
             .iter()
@@ -297,51 +294,40 @@ impl Coordinator {
             authority: Mutex::new(None),
             rr: AtomicUsize::new(0),
             metrics: Metrics::new(),
-            shutdown: AtomicBool::new(false),
-            addr,
         });
         initial_sync(&ctx).map_err(|m| io::Error::new(io::ErrorKind::InvalidInput, m))?;
-        let acceptor_ctx = Arc::clone(&ctx);
-        let acceptor = std::thread::spawn(move || accept_loop(&listener, &acceptor_ctx));
-        Ok(Coordinator {
-            ctx,
-            acceptor: Some(acceptor),
-        })
+        let frontend = Frontend::start(listener, Arc::clone(&ctx))?;
+        Ok(Coordinator { ctx, frontend })
     }
 
     /// The bound client-facing address.
     #[must_use]
     pub fn local_addr(&self) -> SocketAddr {
-        self.ctx.addr
+        self.frontend.local_addr()
     }
 
     /// Initiates shutdown (equivalent to a client `shutdown` request).
     pub fn shutdown(&self) {
-        initiate_shutdown(&self.ctx);
+        self.frontend.shutdown();
     }
 
     /// Blocks until the coordinator has fully stopped.
     pub fn wait(mut self) {
-        if let Some(handle) = self.acceptor.take() {
-            handle.join().expect("acceptor thread panicked");
-        }
+        self.frontend.wait();
     }
 }
 
-impl Drop for Coordinator {
-    fn drop(&mut self) {
-        initiate_shutdown(&self.ctx);
-        if let Some(handle) = self.acceptor.take() {
-            handle.join().expect("acceptor thread panicked");
-        }
+impl Service for ClusterCtx {
+    fn metrics(&self) -> &Metrics {
+        &self.metrics
     }
-}
 
-fn initiate_shutdown(ctx: &ClusterCtx) {
-    if ctx.shutdown.swap(true, Ordering::SeqCst) {
-        return;
+    fn dispatch(self: &Arc<Self>, request: &Incoming<'_>) -> Dispatch {
+        if request.req.verb() == "watch" {
+            return relay_watch(self, request);
+        }
+        Dispatch::Reply(dispatch(self, request.line, request.req, request.received))
     }
-    let _ = TcpStream::connect(ctx.addr);
 }
 
 /// Startup: connect everywhere, adopt the first reachable shard's
@@ -500,9 +486,9 @@ fn serve_chunks(
             .zip(responses)
             .map(|(&c, resp)| {
                 let outcome = match resp {
-                    fullview_service::Response::Ok(payload) => ChunkOutcome::Done(payload),
-                    fullview_service::Response::Err(m) if is_overload(&m) => ChunkOutcome::Retry,
-                    fullview_service::Response::Err(m) => ChunkOutcome::Fatal(m),
+                    Response::Ok(payload) => ChunkOutcome::Done(payload),
+                    Response::Err(m) if is_overload(&m) => ChunkOutcome::Retry,
+                    Response::Err(m) => ChunkOutcome::Fatal(m),
                 };
                 (c, outcome)
             })
@@ -831,14 +817,7 @@ fn render_cluster_stats(ctx: &ClusterCtx) -> String {
         agg.cache_misses,
         agg.cache_hit_rate()
     );
-    let fmt_q = |q: Option<f64>| q.map_or_else(|| "na".to_string(), |v| format!("{v:.3}"));
-    let _ = writeln!(
-        out,
-        "latency_ms: p50={} p99={} samples={}",
-        fmt_q(snap.p50_ms),
-        fmt_q(snap.p99_ms),
-        snap.samples
-    );
+    out.push_str(&snap.latency_line());
     out
 }
 
@@ -890,29 +869,13 @@ fn parse_deadline(req: &Request<'_>, received: Instant) -> Result<Option<Instant
     Ok(Some(received + Duration::from_millis(ms)))
 }
 
-/// Enforces the coordinator's [`ClusterConfig::max_cells`] budget on a
-/// `side × side` request, mirroring the daemon's own named `err` frame
-/// so a budget rejection reads identically from either tier.
-fn check_cell_budget(ctx: &ClusterCtx, side: usize) -> Result<(), String> {
-    if ctx.cfg.max_cells == 0 {
-        return Ok(());
-    }
-    if side.checked_mul(side).is_none_or(|c| c > ctx.cfg.max_cells) {
-        return Err(format!(
-            "max-cells exceeded: {side}×{side} grid is over the {}-cell budget",
-            ctx.cfg.max_cells
-        ));
-    }
-    Ok(())
-}
-
 fn run_map(ctx: &ClusterCtx, req: &Request<'_>, received: Instant) -> Result<String, String> {
     req.allow_only(&["theta-deg", "side", "deadline_ms"])?;
     let side: usize = req.get("side", 48)?;
     if side == 0 {
         return Err("side/grid must be positive".to_string());
     }
-    check_cell_budget(ctx, side)?;
+    protocol::check_cell_budget(side, ctx.cfg.max_cells)?;
     let deadline = parse_deadline(req, received)?;
     let theta = theta_suffix(req)?;
     let glyphs = scatter(ctx, side * side, deadline, |lo, hi| {
@@ -928,7 +891,7 @@ fn run_holes(ctx: &ClusterCtx, req: &Request<'_>, received: Instant) -> Result<S
     if grid == 0 {
         return Err("side/grid must be positive".to_string());
     }
-    check_cell_budget(ctx, grid)?;
+    protocol::check_cell_budget(grid, ctx.cfg.max_cells)?;
     let deadline = parse_deadline(req, received)?;
     let theta = theta_suffix(req)?;
     let torus_side = ctx
@@ -960,7 +923,7 @@ fn run_kfull(ctx: &ClusterCtx, req: &Request<'_>, received: Instant) -> Result<S
     if grid == 0 {
         return Err("side/grid must be positive".to_string());
     }
-    check_cell_budget(ctx, grid)?;
+    protocol::check_cell_budget(grid, ctx.cfg.max_cells)?;
     let deadline = parse_deadline(req, received)?;
     let theta = theta_suffix(req)?;
     let counts = scatter(ctx, grid * grid, deadline, |lo, hi| {
@@ -1002,73 +965,59 @@ fn run_fingerprint(ctx: &ClusterCtx, req: &Request<'_>) -> Result<String, String
 /// read timeout inside [`protocol::read_framed_response`] keeps the
 /// relay responsive to shutdown, so the acceptor's join cannot hang.
 ///
-/// Returns `true` when the downstream connection is consumed (the
-/// subscription ran, or the socket broke) and the handler must retire;
-/// `false` when the subscription was rejected cleanly and the
-/// connection can keep serving ordinary requests.
-fn relay_watch(ctx: &ClusterCtx, line: &str, downstream: &TcpStream) -> bool {
-    let mut writer = downstream;
+/// A subscription rejected before the baseline frame (bad parameters,
+/// no live shard, a shard's own rejection) is an ordinary `err` reply
+/// and the connection keeps serving requests, matching the daemon.
+fn relay_watch(ctx: &ClusterCtx, request: &Incoming<'_>) -> Dispatch {
+    // Validate the parameter set here so typos fail fast instead of
+    // tying up an upstream connection.
+    if let Err(message) = request.req.allow_only(&["theta-deg", "grid"]) {
+        return Dispatch::Reply(Err(message));
+    }
     let live = live_shards(ctx);
     let Some(&first) = live.first() else {
-        ctx.metrics.record_rejected();
-        return protocol::write_err(&mut writer, "no live shards").is_err();
+        return Dispatch::Reply(Err("no live shards".to_string()));
     };
     // A fresh upstream connection: the pooled shard connection keeps
     // serving queries while this one carries the subscription.
     let addr = &ctx.cfg.shard_addrs[first];
     let upstream = match TcpStream::connect(addr) {
         Ok(stream) => stream,
-        Err(e) => {
-            ctx.metrics.record_rejected();
-            let msg = format!("shard {addr}: {e}");
-            return protocol::write_err(&mut writer, &msg).is_err();
-        }
+        Err(e) => return Dispatch::Reply(Err(format!("shard {addr}: {e}"))),
     };
     let _ = upstream.set_nodelay(true);
     let _ = upstream.set_read_timeout(Some(Duration::from_millis(200)));
     let send = |stream: &TcpStream| -> io::Result<()> {
         let mut w = stream;
         use io::Write as _;
-        writeln!(w, "{line}")?;
+        writeln!(w, "{}", request.line)?;
         w.flush()
     };
     if send(&upstream).is_err() {
-        ctx.metrics.record_rejected();
-        let msg = format!("shard {addr}: connection failed");
-        return protocol::write_err(&mut writer, &msg).is_err();
+        return Dispatch::Reply(Err(format!("shard {addr}: connection failed")));
     }
     let mut carry: Vec<u8> = Vec::new();
-    // Baseline frame: forwarded verbatim; a shard rejection (bad grid,
-    // bad theta) is relayed as an err and the connection goes back to
-    // normal request/response service, matching the daemon's behavior.
-    match protocol::read_framed_response(&upstream, &mut carry, &ctx.shutdown) {
-        Some(fullview_service::Response::Ok(payload)) => {
+    let mut writer = request.stream;
+    match protocol::read_framed_response(&upstream, &mut carry, request.shutdown) {
+        Some(Response::Ok(payload)) => {
             if protocol::write_ok(&mut writer, &payload).is_err() {
-                return true;
+                return Dispatch::TakenOver;
             }
         }
-        Some(fullview_service::Response::Err(message)) => {
-            ctx.metrics.record_rejected();
-            return protocol::write_err(&mut writer, &message).is_err();
-        }
+        Some(Response::Err(message)) => return Dispatch::Reply(Err(message)),
         None => {
-            ctx.metrics.record_rejected();
-            let msg = format!("shard {addr}: closed during watch setup");
-            return protocol::write_err(&mut writer, &msg).is_err();
+            return Dispatch::Reply(Err(format!("shard {addr}: closed during watch setup")));
         }
     }
     ctx.metrics.record("watch", 0.0);
-    while let Some(resp) = protocol::read_framed_response(&upstream, &mut carry, &ctx.shutdown) {
-        match resp {
-            fullview_service::Response::Ok(payload) => {
-                if protocol::write_ok(&mut writer, &payload).is_err() {
-                    return true;
-                }
-            }
-            fullview_service::Response::Err(_) => return true,
+    while let Some(Response::Ok(payload)) =
+        protocol::read_framed_response(&upstream, &mut carry, request.shutdown)
+    {
+        if protocol::write_ok(&mut writer, &payload).is_err() {
+            break;
         }
     }
-    true
+    Dispatch::TakenOver
 }
 
 fn dispatch(
@@ -1094,15 +1043,6 @@ fn dispatch(
         "shutdown" => {
             req.allow_only(&[])?;
             Ok("shutting down coordinator (shards keep running)\n".to_string())
-        }
-        // Load-generator clients introduce themselves to daemons with
-        // `hello client=`; the coordinator accepts it too (stateless —
-        // admission control lives on the daemons) so the same client
-        // code targets either.
-        "hello" => {
-            req.allow_only(&["client"])?;
-            let client: String = req.get("client", "anon".to_string())?;
-            Ok(format!("hello {client}\n"))
         }
         "fingerprint" => run_fingerprint(ctx, req),
         "map" => run_map(ctx, req, received),
@@ -1133,7 +1073,7 @@ fn dispatch(
             if grid == 0 {
                 return Err("side/grid must be positive".to_string());
             }
-            check_cell_budget(ctx, grid)?;
+            protocol::check_cell_budget(grid, ctx.cfg.max_cells)?;
             let deadline = parse_deadline(req, received)?;
             let theta = theta_suffix(req)?;
             let grid_arg = raw_suffix(req, "grid")?;
@@ -1151,104 +1091,7 @@ fn dispatch(
             req.allow_only(&["seed", "n"])?;
             broadcast_mutation(ctx, line)
         }
-        // `watch` is intercepted in `handle_connection` (it needs the
-        // stream); reaching here means a non-connection context.
-        "watch" => Err("watch requires a dedicated client connection".to_string()),
         other => Err(format!("no handler for request '{other}'")),
-    }
-}
-
-fn accept_loop(listener: &TcpListener, ctx: &Arc<ClusterCtx>) {
-    let mut handlers: Vec<JoinHandle<()>> = Vec::new();
-    for conn in listener.incoming() {
-        if ctx.shutdown.load(Ordering::SeqCst) {
-            break;
-        }
-        match conn {
-            Ok(stream) => {
-                let ctx = Arc::clone(ctx);
-                handlers.push(std::thread::spawn(move || handle_connection(&ctx, &stream)));
-            }
-            Err(_) => continue,
-        }
-    }
-    for handle in handlers {
-        handle.join().expect("connection handler panicked");
-    }
-}
-
-fn handle_connection(ctx: &Arc<ClusterCtx>, stream: &TcpStream) {
-    let _ = stream.set_nodelay(true);
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(200)));
-    let mut carry: Vec<u8> = Vec::new();
-    loop {
-        let read = protocol::read_request_line_checked(stream, &mut carry, &ctx.shutdown);
-        let line = match read {
-            protocol::LineRead::Line(line) => line,
-            protocol::LineRead::Closed => return,
-            rejected => {
-                // Oversized or non-UTF-8: the framing is lost, so answer
-                // with a distinct err and drop the connection — exactly
-                // like the daemons do.
-                ctx.metrics.record_rejected();
-                if let Some(message) = protocol::line_read_error(&rejected) {
-                    let mut writer = stream;
-                    let _ = protocol::write_err(&mut writer, &message);
-                }
-                return;
-            }
-        };
-        if line.trim().is_empty() {
-            continue;
-        }
-        let started = Instant::now();
-        let mut writer = stream;
-        match Request::parse(&line) {
-            Err(message) => {
-                ctx.metrics.record_rejected();
-                if protocol::write_err(&mut writer, &message).is_err() {
-                    return;
-                }
-            }
-            Ok(req) if req.verb() == "watch" => {
-                // The relay owns the connection until it ends; validate
-                // the parameter set here so typos fail fast instead of
-                // tying up an upstream connection.
-                if let Err(message) = req.allow_only(&["theta-deg", "grid"]) {
-                    ctx.metrics.record_rejected();
-                    if protocol::write_err(&mut writer, &message).is_err() {
-                        return;
-                    }
-                } else if relay_watch(ctx, &line, stream) {
-                    return;
-                }
-            }
-            Ok(req) => {
-                let verb = req.verb().to_string();
-                match dispatch(ctx, &line, &req, started) {
-                    Ok(payload) => {
-                        ctx.metrics
-                            .record(&verb, started.elapsed().as_secs_f64() * 1e3);
-                        if protocol::write_ok(&mut writer, &payload).is_err() {
-                            return;
-                        }
-                        if verb == "shutdown" {
-                            initiate_shutdown(ctx);
-                            return;
-                        }
-                    }
-                    Err(message) => {
-                        ctx.metrics.record_rejected();
-                        if protocol::write_err(&mut writer, &message).is_err() {
-                            return;
-                        }
-                    }
-                }
-            }
-        }
-        if ctx.shutdown.load(Ordering::SeqCst) {
-            return;
-        }
     }
 }
 

@@ -21,7 +21,9 @@
 //!   the `stats` endpoint.
 //! * [`snapshot`] — warm-state persistence: the fleet serialized with
 //!   exact bit patterns and verified canonical fingerprints.
-//! * [`server`] — the daemon: acceptor, connection handlers, dispatch.
+//! * [`frontend`] — the connection front-end the daemon and the cluster
+//!   coordinator share: listener, acceptor, per-connection request loop.
+//! * [`server`] — the daemon: fleet state and query dispatch.
 //! * [`client`] — the blocking client used by `fvc query`, the cluster
 //!   coordinator, and tests (supports bounded-window pipelining).
 //!
@@ -44,6 +46,7 @@
 pub mod admission;
 pub mod cache;
 pub mod client;
+pub mod frontend;
 pub mod metrics;
 pub mod protocol;
 pub mod queue;

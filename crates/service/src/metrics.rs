@@ -1,4 +1,4 @@
-//! Live service metrics: per-endpoint request counts and a fixed-bucket
+//! Live service metrics: per-endpoint request counts and a log-scale
 //! latency histogram (reusing [`fullview_sim::Histogram`]) from which
 //! the `stats` endpoint reports p50/p99 service latencies.
 //!
@@ -14,13 +14,18 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
-/// Latency histogram shape: 0‥10 s in 5 ms buckets. Requests longer than
-/// the range clamp into the last bucket (mass is never lost), shorter
-/// ones than a bucket report the bucket midpoint — ample resolution for
-/// distinguishing cached (sub-millisecond) from computed (tens of
-/// milliseconds and up) service times.
+/// Latency range: 1 µs ‥ 10 s. Latencies are recorded as `ln(µs)` in
+/// equal buckets, so every bucket spans the same *relative* width
+/// (≈ 0.8 % with 2 000 buckets) and a cached sub-millisecond answer
+/// resolves as finely as a multi-second compute. Samples outside the
+/// range clamp into the edge buckets (mass is never lost).
 const LATENCY_MAX_MS: f64 = 10_000.0;
 const LATENCY_BUCKETS: usize = 2_000;
+
+/// The histogram every stripe and snapshot records into.
+fn latency_histogram() -> Histogram {
+    Histogram::new(0.0, (LATENCY_MAX_MS * 1e3).ln(), LATENCY_BUCKETS)
+}
 
 /// Lock stripes for concurrent recording. A small power of two: enough
 /// that a handful of handler threads rarely collide, cheap to merge.
@@ -42,7 +47,7 @@ impl Stripe {
     fn new() -> Self {
         Stripe {
             counts: vec![0; crate::protocol::VERBS.len()],
-            latency: Histogram::new(0.0, LATENCY_MAX_MS, LATENCY_BUCKETS),
+            latency: latency_histogram(),
         }
     }
 }
@@ -77,6 +82,21 @@ pub struct MetricsSnapshot {
     pub p99_ms: Option<f64>,
     /// Latency samples recorded.
     pub samples: u64,
+}
+
+impl MetricsSnapshot {
+    /// The `latency_ms:` line of the daemon's and the coordinator's
+    /// `stats` answers, newline included.
+    #[must_use]
+    pub fn latency_line(&self) -> String {
+        let fmt_q = |q: Option<f64>| q.map_or_else(|| "na".to_string(), |v| format!("{v:.3}"));
+        format!(
+            "latency_ms: p50={} p99={} samples={}\n",
+            fmt_q(self.p50_ms),
+            fmt_q(self.p99_ms),
+            self.samples
+        )
+    }
 }
 
 impl Default for Metrics {
@@ -115,7 +135,7 @@ impl Metrics {
         // Guard against non-finite timings rather than panicking the
         // histogram: a clamped sample is better than a dead server.
         if latency_ms.is_finite() {
-            stripe.latency.record(latency_ms.max(0.0));
+            stripe.latency.record((latency_ms * 1e3).max(1.0).ln());
         }
     }
 
@@ -134,7 +154,7 @@ impl Metrics {
     #[must_use]
     pub fn snapshot(&self) -> MetricsSnapshot {
         let mut counts = vec![0u64; crate::protocol::VERBS.len()];
-        let mut latency = Histogram::new(0.0, LATENCY_MAX_MS, LATENCY_BUCKETS);
+        let mut latency = latency_histogram();
         for stripe in &self.stripes {
             let stripe = stripe.lock().expect("metrics lock");
             for (sum, c) in counts.iter_mut().zip(&stripe.counts) {
@@ -143,13 +163,14 @@ impl Metrics {
             latency.merge(&stripe.latency);
         }
         let counts: Vec<(&'static str, u64)> = endpoints().zip(counts).collect();
+        let quantile_ms = |q| latency.quantile(q).map(|ln_us: f64| ln_us.exp() / 1e3);
         MetricsSnapshot {
             uptime_s: self.started.elapsed().as_secs_f64(),
             total: counts.iter().map(|(_, c)| c).sum(),
             rejected: self.rejected.load(Ordering::Relaxed),
             busy: self.busy.load(Ordering::Relaxed),
-            p50_ms: latency.quantile(0.5),
-            p99_ms: latency.quantile(0.99),
+            p50_ms: quantile_ms(0.5),
+            p99_ms: quantile_ms(0.99),
             samples: latency.total(),
             counts,
         }
@@ -196,6 +217,22 @@ mod tests {
         assert!((p50 - 10.0).abs() < 5.0, "p50 {p50}");
         assert!(p99 >= 395.0, "p99 {p99}");
         assert!(snap.uptime_s >= 0.0);
+    }
+
+    #[test]
+    fn sub_millisecond_latencies_resolve() {
+        let m = Metrics::new();
+        for _ in 0..200 {
+            m.record("ping", 0.015);
+        }
+        let snap = m.snapshot();
+        for q in [snap.p50_ms.unwrap(), snap.p99_ms.unwrap()] {
+            assert!((q - 0.015).abs() <= 0.05 * 0.015, "quantile {q} ms");
+        }
+        assert_eq!(
+            snap.latency_line(),
+            "latency_ms: p50=0.015 p99=0.015 samples=200\n"
+        );
     }
 
     #[test]

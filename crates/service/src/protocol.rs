@@ -91,6 +91,23 @@ pub fn known_verb(name: &str, coordinator: bool) -> Result<&'static Verb, String
         })
 }
 
+/// The discretization budget both front-ends enforce: a `side × side`
+/// grid over `max_cells` total cells (`0` = no budget) is rejected up
+/// front, before any allocation, with a named `max-cells exceeded` err a
+/// client can match on. An overflowing `side²` is over any budget.
+///
+/// # Errors
+///
+/// The `max-cells exceeded` message when the grid is over budget.
+pub fn check_cell_budget(side: usize, max_cells: usize) -> Result<(), String> {
+    if max_cells > 0 && side.checked_mul(side).is_none_or(|c| c > max_cells) {
+        return Err(format!(
+            "max-cells exceeded: {side}×{side} grid is over the {max_cells}-cell budget"
+        ));
+    }
+    Ok(())
+}
+
 /// Upper bound on a request line, to keep a hostile peer from growing an
 /// unbounded buffer. An oversized line is answered with an `err` frame
 /// (see [`LineRead::Oversized`]) before the connection closes.
@@ -145,7 +162,7 @@ impl<'a> Request<'a> {
 
     /// The request verb.
     #[must_use]
-    pub fn verb(&self) -> &str {
+    pub fn verb(&self) -> &'a str {
         self.verb
     }
 
@@ -244,8 +261,7 @@ pub enum LineRead {
 /// past the previous newline and must persist across calls on the same
 /// connection.
 ///
-/// Shared by the daemon's connection handler and the cluster
-/// coordinator's client-facing listener; both answer
+/// The front-end's request loop answers
 /// [`LineRead::Oversized`]/[`LineRead::Invalid`] with an `err` frame
 /// before closing.
 pub fn read_request_line_checked(
@@ -253,7 +269,6 @@ pub fn read_request_line_checked(
     carry: &mut Vec<u8>,
     shutdown: &AtomicBool,
 ) -> LineRead {
-    let mut chunk = [0u8; 1024];
     loop {
         if let Some(pos) = carry.iter().position(|&b| b == b'\n') {
             let rest = carry.split_off(pos + 1);
@@ -267,36 +282,9 @@ pub fn read_request_line_checked(
         if carry.len() > MAX_REQUEST_LINE {
             return LineRead::Oversized;
         }
-        match (&mut (&*stream)).read(&mut chunk) {
-            Ok(0) => return LineRead::Closed,
-            Ok(n) => carry.extend_from_slice(&chunk[..n]),
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-                ) =>
-            {
-                if shutdown.load(Ordering::SeqCst) {
-                    return LineRead::Closed;
-                }
-            }
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(_) => return LineRead::Closed,
+        if !read_more(stream, carry, shutdown) {
+            return LineRead::Closed;
         }
-    }
-}
-
-/// [`read_request_line_checked`] collapsed to an `Option` for callers
-/// that cannot answer with an `err` frame (e.g. the watch relay's
-/// upstream reader, where the lines are server-generated headers).
-pub fn read_request_line(
-    stream: &TcpStream,
-    carry: &mut Vec<u8>,
-    shutdown: &AtomicBool,
-) -> Option<String> {
-    match read_request_line_checked(stream, carry, shutdown) {
-        LineRead::Line(line) => Some(line),
-        _ => None,
     }
 }
 
@@ -314,15 +302,18 @@ pub fn line_read_error(outcome: &LineRead) -> Option<String> {
     }
 }
 
-/// Reads raw bytes into `carry` until it holds at least `want` bytes,
-/// with the same timeout/shutdown discipline as [`read_request_line`].
-/// Returns `false` on EOF, shutdown, or a transport error.
-fn fill_carry(stream: &TcpStream, carry: &mut Vec<u8>, want: usize, shutdown: &AtomicBool) -> bool {
+/// One read into `carry`, waiting out read timeouts until bytes arrive.
+/// Returns `false` on EOF, on a transport error, or when `shutdown` is
+/// set at a timeout.
+fn read_more(stream: &TcpStream, carry: &mut Vec<u8>, shutdown: &AtomicBool) -> bool {
     let mut chunk = [0u8; 1024];
-    while carry.len() < want {
+    loop {
         match (&mut (&*stream)).read(&mut chunk) {
             Ok(0) => return false,
-            Ok(n) => carry.extend_from_slice(&chunk[..n]),
+            Ok(n) => {
+                carry.extend_from_slice(&chunk[..n]);
+                return true;
+            }
             Err(e)
                 if matches!(
                     e.kind(),
@@ -337,7 +328,6 @@ fn fill_carry(stream: &TcpStream, carry: &mut Vec<u8>, want: usize, shutdown: &A
             Err(_) => return false,
         }
     }
-    true
 }
 
 /// Reads one framed response from a short-read-timeout connection,
@@ -354,7 +344,9 @@ pub fn read_framed_response(
     carry: &mut Vec<u8>,
     shutdown: &AtomicBool,
 ) -> Option<Response> {
-    let header = read_request_line(stream, carry, shutdown)?;
+    let LineRead::Line(header) = read_request_line_checked(stream, carry, shutdown) else {
+        return None;
+    };
     if let Some(msg) = header.strip_prefix("err ") {
         return Some(Response::Err(msg.to_string()));
     }
@@ -362,8 +354,10 @@ pub fn read_framed_response(
     if len > MAX_RESPONSE_BYTES {
         return None;
     }
-    if !fill_carry(stream, carry, len, shutdown) {
-        return None;
+    while carry.len() < len {
+        if !read_more(stream, carry, shutdown) {
+            return None;
+        }
     }
     let rest = carry.split_off(len);
     let payload = std::mem::replace(carry, rest);

@@ -1,4 +1,5 @@
-//! The daemon: TCP acceptor, connection handlers, query dispatch.
+//! The daemon: fleet state, caches, and query dispatch behind the shared
+//! connection [`frontend`](crate::frontend).
 //!
 //! One process owns one fleet. The [`CameraNetwork`] (and with it the
 //! warm `SpatialGrid`/tile structures) is loaded or generated once at
@@ -25,8 +26,9 @@
 //! mutation may insert a payload under the pre-mutation fingerprint,
 //! which later lookups simply report as stale and recompute.
 
-use crate::admission::{AdmissionControl, ANON_CLIENT};
+use crate::admission::AdmissionControl;
 use crate::cache::{Lookup, ResultCache};
+use crate::frontend::{Dispatch, Frontend, Incoming, Service};
 use crate::metrics::Metrics;
 use crate::protocol::{self, Request};
 use crate::queue::JobQueue;
@@ -48,9 +50,7 @@ use std::fmt::Write as _;
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Mutex, RwLock};
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// How the daemon is assembled: fleet provenance, default effective
@@ -68,11 +68,6 @@ pub struct ServiceConfig {
     pub seed: u64,
     /// Default effective angle θ; per-request `theta-deg` overrides it.
     pub theta: EffectiveAngle,
-    /// Threads per dense-grid sweep. Retained for configuration
-    /// compatibility: dense sweeps are now served from the warm
-    /// incremental engine, whose repairs are cheap enough that a thread
-    /// pool per sweep no longer pays for itself.
-    pub eval_threads: usize,
     /// Worker pool size (`0` = one per CPU, never zero).
     pub workers: usize,
     /// Job queue bound (clamped to ≥ 1).
@@ -105,7 +100,7 @@ pub struct ServiceConfig {
 
 impl ServiceConfig {
     /// A config with the documented defaults: ephemeral loopback port,
-    /// 400 cameras from seed 0, θ = 45°, auto eval threads, 2 workers,
+    /// 400 cameras from seed 0, θ = 45°, 2 workers,
     /// queue bound 64, cache capacity 128.
     #[must_use]
     pub fn new(profile: NetworkProfile) -> Self {
@@ -115,7 +110,6 @@ impl ServiceConfig {
             n: 400,
             seed: 0,
             theta: EffectiveAngle::new(std::f64::consts::FRAC_PI_4).expect("45° is valid"),
-            eval_threads: 0,
             workers: 2,
             queue_capacity: 64,
             cache_capacity: 128,
@@ -311,21 +305,19 @@ struct ServerCtx {
     prover_stats: Mutex<ProverStats>,
     theta_default: EffectiveAngle,
     reseed_n: usize,
-    shutdown: AtomicBool,
-    addr: SocketAddr,
 }
 
 /// A running daemon. Dropping it (or calling [`Server::wait`] after a
 /// client sent `shutdown`) drains in-flight jobs before returning.
 pub struct Server {
     ctx: Arc<ServerCtx>,
-    acceptor: Option<JoinHandle<()>>,
+    frontend: Frontend,
 }
 
 impl std::fmt::Debug for Server {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Server")
-            .field("addr", &self.ctx.addr)
+            .field("addr", &self.frontend.local_addr())
             .finish()
     }
 }
@@ -373,7 +365,6 @@ impl Server {
             }
         };
         let listener = TcpListener::bind(&config.addr)?;
-        let addr = listener.local_addr()?;
         let net_fp = network_fingerprint(&net);
         let profile_fp = profile_fingerprint(&profile);
         let ctx = Arc::new(ServerCtx {
@@ -394,187 +385,66 @@ impl Server {
             prover_stats: Mutex::new(ProverStats::default()),
             theta_default: config.theta,
             reseed_n: config.n.max(1),
-            shutdown: AtomicBool::new(false),
-            addr,
         });
-        let acceptor_ctx = Arc::clone(&ctx);
-        let acceptor = std::thread::spawn(move || accept_loop(&listener, &acceptor_ctx));
-        Ok(Server {
-            ctx,
-            acceptor: Some(acceptor),
-        })
+        let frontend = Frontend::start(listener, Arc::clone(&ctx))?;
+        Ok(Server { ctx, frontend })
     }
 
     /// The bound address (useful with an ephemeral port request).
     #[must_use]
     pub fn local_addr(&self) -> SocketAddr {
-        self.ctx.addr
+        self.frontend.local_addr()
     }
 
     /// Initiates shutdown programmatically (equivalent to a client
     /// `shutdown` request). Returns without waiting; see
     /// [`wait`](Self::wait).
     pub fn shutdown(&self) {
-        initiate_shutdown(&self.ctx);
+        self.frontend.shutdown();
     }
 
     /// Blocks until the daemon has fully stopped: acceptor exited, every
     /// connection handler finished, and the job queue drained.
     pub fn wait(mut self) {
-        if let Some(handle) = self.acceptor.take() {
-            handle.join().expect("acceptor thread panicked");
-        }
+        self.frontend.wait();
     }
 }
 
 impl Drop for Server {
     fn drop(&mut self) {
-        initiate_shutdown(&self.ctx);
-        if let Some(handle) = self.acceptor.take() {
-            handle.join().expect("acceptor thread panicked");
-        }
+        self.frontend.shutdown();
+        self.frontend.wait();
+        // Every handler has finished, so no request can submit a job
+        // any more; the jobs already queued complete before this returns.
+        self.ctx.queue.shutdown();
     }
 }
 
-fn initiate_shutdown(ctx: &ServerCtx) {
-    if ctx.shutdown.swap(true, Ordering::SeqCst) {
-        return; // already shutting down
+impl Service for ServerCtx {
+    fn metrics(&self) -> &Metrics {
+        &self.metrics
     }
-    // Wake the acceptor out of its blocking accept.
-    let _ = TcpStream::connect(ctx.addr);
-}
 
-fn accept_loop(listener: &TcpListener, ctx: &Arc<ServerCtx>) {
-    let mut handlers: Vec<JoinHandle<()>> = Vec::new();
-    for conn in listener.incoming() {
-        if ctx.shutdown.load(Ordering::SeqCst) {
-            break;
+    fn dispatch(self: &Arc<Self>, request: &Incoming<'_>) -> Dispatch {
+        let req = request.req;
+        if req.verb() == "watch" {
+            // `watch` takes over the connection: on success the hub
+            // owns a clone of the stream and the handler retires.
+            return match run_watch(self, req, request.stream) {
+                Ok(()) => {
+                    let elapsed_ms = request.received.elapsed().as_secs_f64() * 1e3;
+                    self.metrics.record("watch", elapsed_ms);
+                    Dispatch::TakenOver
+                }
+                Err(message) => Dispatch::Reply(Err(message)),
+            };
         }
-        match conn {
-            Ok(stream) => {
-                let ctx = Arc::clone(ctx);
-                handlers.push(std::thread::spawn(move || handle_connection(&ctx, &stream)));
-            }
-            Err(_) => continue,
-        }
-    }
-    // Graceful drain: handlers notice the flag within one read timeout;
-    // any job they already submitted completes before the pool stops.
-    for handle in handlers {
-        handle.join().expect("connection handler panicked");
-    }
-    ctx.queue.shutdown();
-}
-
-fn handle_connection(ctx: &Arc<ServerCtx>, stream: &TcpStream) {
-    let _ = stream.set_nodelay(true);
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(200)));
-    let mut carry: Vec<u8> = Vec::new();
-    // The connection's declared identity; `hello client=NAME` replaces
-    // it, everything before (or without) a hello shares the anon bucket.
-    let mut client = ANON_CLIENT.to_string();
-    loop {
-        let outcome = protocol::read_request_line_checked(stream, &mut carry, &ctx.shutdown);
-        let line = match outcome {
-            protocol::LineRead::Line(line) => line,
-            protocol::LineRead::Closed => return,
-            ref bad => {
-                // Oversized / non-UTF-8: answer with an err frame so the
-                // peer learns why, then drop the connection.
-                ctx.metrics.record_rejected();
-                let mut writer = stream;
-                let message = protocol::line_read_error(bad).expect("oversized or invalid");
-                let _ = protocol::write_err(&mut writer, &message);
-                return;
-            }
-        };
-        if line.trim().is_empty() {
-            continue;
-        }
-        let started = Instant::now();
-        let mut writer = stream;
-        match Request::parse(&line) {
-            Err(message) => {
-                ctx.metrics.record_rejected();
-                if protocol::write_err(&mut writer, &message).is_err() {
-                    return;
-                }
-            }
-            Ok(req) if req.verb() == "hello" => {
-                match req.allow_only(&["client"]).and_then(|()| {
-                    let name: String = req.get("client", ANON_CLIENT.to_string())?;
-                    Ok(name)
-                }) {
-                    Ok(name) => {
-                        client = name;
-                        ctx.metrics
-                            .record("hello", started.elapsed().as_secs_f64() * 1e3);
-                        if protocol::write_ok(&mut writer, &format!("hello {client}\n")).is_err() {
-                            return;
-                        }
-                    }
-                    Err(message) => {
-                        ctx.metrics.record_rejected();
-                        if protocol::write_err(&mut writer, &message).is_err() {
-                            return;
-                        }
-                    }
-                }
-            }
-            Ok(req) if req.verb() == "watch" => {
-                // `watch` takes over the connection: on success the hub
-                // owns a clone of the stream and this handler retires.
-                match run_watch(ctx, &req, stream) {
-                    Ok(()) => {
-                        ctx.metrics
-                            .record("watch", started.elapsed().as_secs_f64() * 1e3);
-                        return;
-                    }
-                    Err(message) => {
-                        ctx.metrics.record_rejected();
-                        if protocol::write_err(&mut writer, &message).is_err() {
-                            return;
-                        }
-                    }
-                }
-            }
-            Ok(req) => {
-                let verb = req.verb().to_string();
-                if protocol::known_verb(&verb, false).is_ok_and(|v| v.gated) {
-                    if let Err(retry_ms) = ctx.admission.admit(&client) {
-                        ctx.metrics.record_busy();
-                        if protocol::write_err(&mut writer, &format!("busy retry_after={retry_ms}"))
-                            .is_err()
-                        {
-                            return;
-                        }
-                        continue;
-                    }
-                }
-                match dispatch(ctx, &req, &client) {
-                    Ok(payload) => {
-                        ctx.metrics
-                            .record(&verb, started.elapsed().as_secs_f64() * 1e3);
-                        if protocol::write_ok(&mut writer, &payload).is_err() {
-                            return;
-                        }
-                        if verb == "shutdown" {
-                            initiate_shutdown(ctx);
-                            return;
-                        }
-                    }
-                    Err(message) => {
-                        ctx.metrics.record_rejected();
-                        if protocol::write_err(&mut writer, &message).is_err() {
-                            return;
-                        }
-                    }
-                }
+        if protocol::known_verb(req.verb(), false).is_ok_and(|v| v.gated) {
+            if let Err(retry_ms) = self.admission.admit(request.client) {
+                return Dispatch::Busy(retry_ms);
             }
         }
-        if ctx.shutdown.load(Ordering::SeqCst) {
-            return;
-        }
+        Dispatch::Reply(dispatch(self, req, request.client))
     }
 }
 
@@ -623,18 +493,6 @@ impl QueryKind {
     /// Whether the query takes `lo`/`hi` grid-index range parameters.
     fn ranged(self) -> bool {
         matches!(self, QueryKind::Cells | QueryKind::Mask | QueryKind::Kcount)
-    }
-
-    /// Total grid points of the discretization a range indexes into.
-    /// `None` when the squared side overflows `usize` — the request is
-    /// bogus and must be answered with an `err` frame, not a panic (in
-    /// release the raw multiply would wrap and admit nonsense ranges).
-    fn range_total(self, params: &QueryParams) -> Option<usize> {
-        let side = match self {
-            QueryKind::Cells => params.side,
-            _ => params.grid,
-        };
-        side.checked_mul(side)
     }
 }
 
@@ -699,33 +557,18 @@ fn parse_query(ctx: &ServerCtx, req: &Request<'_>, kind: QueryKind) -> Result<Qu
             params.density
         ));
     }
-    // The discretization budget: reject up front, before any grid
-    // allocation, with a *named* err frame the client can match on.
-    // Overflowing `side²` is over any finite budget by definition.
-    let dim = match kind {
-        QueryKind::Check | QueryKind::Prob => None,
-        QueryKind::Map | QueryKind::Cells => Some(params.side),
-        _ => Some(params.grid),
+    let side = match kind {
+        QueryKind::Check | QueryKind::Prob => return Ok(params),
+        QueryKind::Map | QueryKind::Cells => params.side,
+        _ => params.grid,
     };
-    if ctx.max_cells > 0 {
-        if let Some(side) = dim {
-            if side.checked_mul(side).is_none_or(|c| c > ctx.max_cells) {
-                return Err(format!(
-                    "max-cells exceeded: {side}×{side} grid is over the {}-cell budget",
-                    ctx.max_cells
-                ));
-            }
-        }
-    }
+    protocol::check_cell_budget(side, ctx.max_cells)?;
     if kind.ranged() {
-        let total = kind.range_total(&params).ok_or_else(|| {
-            format!(
-                "side/grid {} is too large: the squared point count overflows",
-                match kind {
-                    QueryKind::Cells => params.side,
-                    _ => params.grid,
-                }
-            )
+        // An overflowing `side²` is a bogus request answered with an err
+        // frame, not a panic (in release the raw multiply would wrap and
+        // admit nonsense ranges).
+        let total = side.checked_mul(side).ok_or_else(|| {
+            format!("side/grid {side} is too large: the squared point count overflows")
         })?;
         if params.hi == usize::MAX {
             params.hi = total;
@@ -1356,14 +1199,7 @@ fn render_stats(ctx: &ServerCtx) -> String {
     }
     let prover_stats = *ctx.prover_stats.lock().expect("prover stats lock");
     let _ = writeln!(out, "hier: {prover_stats}");
-    let fmt_q = |q: Option<f64>| q.map_or_else(|| "na".to_string(), |v| format!("{v:.3}"));
-    let _ = writeln!(
-        out,
-        "latency_ms: p50={} p99={} samples={}",
-        fmt_q(snap.p50_ms),
-        fmt_q(snap.p99_ms),
-        snap.samples
-    );
+    out.push_str(&snap.latency_line());
     out
 }
 
@@ -1397,11 +1233,6 @@ fn dispatch(ctx: &Arc<ServerCtx>, req: &Request<'_>, client: &str) -> Result<Str
         "fingerprint" => run_fingerprint(ctx, req),
         "snapshot" => run_snapshot(ctx, req),
         "restore" => run_restore(ctx, req),
-        // `hello` and `watch` are intercepted in `handle_connection`
-        // (they need the connection); reaching here means a
-        // non-connection context.
-        "hello" => Err("hello applies to a client connection".to_string()),
-        "watch" => Err("watch requires a dedicated client connection".to_string()),
         other => Err(format!("no handler for request '{other}'")),
     }
 }
@@ -1409,6 +1240,7 @@ fn dispatch(ctx: &Arc<ServerCtx>, req: &Request<'_>, client: &str) -> Result<Str
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::admission::ANON_CLIENT;
     use crate::client::Client;
     use fullview_model::SensorSpec;
 
